@@ -1,0 +1,209 @@
+"""Block classification for simple modules of the Brauer category, with an
+independent brute-force orbit oracle.
+
+Simple modules are labelled by partitions.  For integral delta, two labels
+lie in the same block exactly when the charged sequences of their
+*transposes*, at charge delta/2 - 1, lie in one orbit of the even-signed
+permutation group; for non-integral delta the category is semisimple and
+every block is a single label.
+
+Label conventions: the public operations (same_block, block_key,
+classify_weight_class, enumerate_block_members, brauer_algebra_blocks)
+take the labels of the simple modules themselves and transpose internally.
+The brute-force oracle dot_orbit_member instead takes transposed-level
+labels, the partitions the dot action acts on directly; feeding it
+module labels without transposing first compares different objects.
+
+The oracle shifts a label by rho_n (coordinates 1 - i - delta/2), then runs
+breadth-first search under the rank-n generators: adjacent swaps and the
+negate-and-swap of the first two coordinates.  The orbit is finite (at most
+2^(n-1) n! vectors) but grows fast; ranks above 8 require an explicit
+override.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
+from .partitions import Partition, enumerate_partitions, partitions_of_size
+from .sequences import (
+    ChargedSequence,
+    OrbitKey,
+    make_sequence,
+    orbit_key,
+    same_orbit,
+    shape_from_entries,
+)
+
+BFS_RANK_CAP = 8
+
+
+def sector_charge(delta) -> Fraction:
+    """The charge delta/2 - 1 of the sector attached to the parameter."""
+    return Fraction(delta) / 2 - 1
+
+
+def _integral(delta, message: str) -> int:
+    d = Fraction(delta)
+    if d.denominator != 1:
+        raise ValueError(message)
+    return d.numerator
+
+
+def _label_sequence(lam: Partition, delta) -> ChargedSequence:
+    return make_sequence(lam.transpose(), sector_charge(delta))
+
+
+def same_block(lam: Partition, mu: Partition, delta) -> bool:
+    """Whether the simple modules labelled lam and mu lie in one block.
+
+    Non-integral delta is semisimple, so blocks are singletons there.  The
+    size-parity short circuit is sound because every orbit move preserves
+    the shape size modulo 2.
+    """
+    d = Fraction(delta)
+    if d.denominator != 1:
+        return lam == mu
+    if (lam.size - mu.size) % 2 != 0:
+        return False
+    return same_orbit(_label_sequence(lam, d), _label_sequence(mu, d))
+
+
+def block_key(lam: Partition, delta) -> OrbitKey:
+    """Canonical key with block_key(lam) == block_key(mu) iff same block."""
+    d = _integral(delta, "block keys require integral delta")
+    return orbit_key(_label_sequence(lam, d))
+
+
+@dataclass(frozen=True)
+class BlockClassification:
+    """Whether the weight class of a label is one block or splits in two;
+    in the split case `partner` labels a module of the same bar-weight in
+    the other block."""
+
+    split: bool
+    partner: Partition | None = None
+
+
+def classify_weight_class(lam: Partition, delta) -> BlockClassification:
+    """Single block when delta is odd or the transposed sequence has a zero
+    entry; otherwise split, with the partner obtained by moving a tail entry
+    to the front with its sign flipped."""
+    d = _integral(delta, "weight-class classification requires integral delta")
+    seq = _label_sequence(lam, d)
+    if d % 2 != 0 or seq.has_zero_entry():
+        return BlockClassification(split=False)
+    first = seq.entry(1)
+    k = seq.length + 1
+    while not (seq.entry(k) > 0 and -seq.entry(k) < first):
+        k += 1
+    window = [-seq.entry(k)] + [seq.entry(m) for m in range(1, k)]
+    partner_t = shape_from_entries(seq.charge, window)
+    return BlockClassification(split=True, partner=partner_t.transpose())
+
+
+def enumerate_block_members(lam: Partition, delta, max_size: int) -> list[Partition]:
+    """All labels of size <= max_size in the block of lam, canonical order."""
+    if max_size < lam.size:
+        raise ValueError("max_size must be at least the size of the partition")
+    return [mu for mu in enumerate_partitions(max_size) if same_block(lam, mu, delta)]
+
+
+def brauer_algebra_blocks(n: int, delta) -> list[list[Partition]]:
+    """Blocks of the rank-n Brauer algebra: the labels of sizes n, n-2, ...
+    partitioned by the block relation, in canonical order."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    d = _integral(delta, "Brauer-algebra blocks require integral delta")
+    groups: dict[OrbitKey, list[Partition]] = {}
+    order: list[OrbitKey] = []
+    for m in range(n % 2, n + 1, 2):
+        for p in partitions_of_size(m):
+            key = block_key(p, d)
+            if key not in groups:
+                groups[key] = []
+                order.append(key)
+            groups[key].append(p)
+    return [groups[key] for key in order]
+
+
+def _shifted_vector(p: Partition, n: int, delta: int) -> tuple[int, ...]:
+    # twice the coordinates of p + rho_n, kept integral for BFS speed
+    return tuple(2 * p.part(i) + 2 - 2 * i - delta for i in range(1, n + 1))
+
+
+@lru_cache(maxsize=2)
+def _orbit_closure(start: tuple[int, ...]) -> frozenset:
+    n = len(start)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        fresh = []
+        for v in frontier:
+            lv = list(v)
+            for i in range(n - 1):
+                if lv[i] != lv[i + 1]:
+                    lv[i], lv[i + 1] = lv[i + 1], lv[i]
+                    t = tuple(lv)
+                    lv[i], lv[i + 1] = lv[i + 1], lv[i]
+                    if t not in seen:
+                        seen.add(t)
+                        fresh.append(t)
+            if n >= 2:
+                t = (-v[1], -v[0]) + v[2:]
+                if t not in seen:
+                    seen.add(t)
+                    fresh.append(t)
+        frontier = fresh
+    return frozenset(seen)
+
+
+def dot_orbit_member(a: Partition, b: Partition, n: int, delta, *, allow_large: bool = False) -> bool:
+    """Brute-force oracle: is b + rho_n in the rank-n orbit of a + rho_n?
+
+    Takes transposed-level labels (see the module docstring).  Ranks above
+    BFS_RANK_CAP are refused unless allow_large is set.
+    """
+    d = _integral(delta, "the orbit oracle requires integral delta")
+    if len(a.parts) > n or len(b.parts) > n:
+        raise ValueError("partition length exceeds the rank n")
+    if n > BFS_RANK_CAP and not allow_large:
+        raise ValueError(
+            f"rank {n} exceeds the safety cap {BFS_RANK_CAP}; pass allow_large=True to override"
+        )
+    va = _shifted_vector(a, n, d)
+    vb = _shifted_vector(b, n, d)
+    return vb in _orbit_closure(va)
+
+
+def same_block_report(lam: Partition, mu: Partition, delta) -> dict:
+    """Decision plus the evidence the criterion inspected, for serialisation."""
+    d = Fraction(delta)
+    result: dict = {"same_block": same_block(lam, mu, d)}
+    if d.denominator != 1:
+        result["block_key"] = None
+        result["reason"] = {
+            "semisimple": True,
+            "abs_multiset_equal": None,
+            "parity_lhs": None,
+            "parity_rhs": None,
+            "zero_entry": None,
+        }
+        return result
+    s = _label_sequence(lam, d)
+    t = _label_sequence(mu, d)
+    w = max(s.length, t.length)
+    abs_equal = sorted(abs(s.entry(k)) for k in range(1, w + 1)) == sorted(
+        abs(t.entry(k)) for k in range(1, w + 1)
+    )
+    result["block_key"] = orbit_key(s).to_json()
+    result["reason"] = {
+        "semisimple": False,
+        "abs_multiset_equal": abs_equal,
+        "parity_lhs": s.negative_count() % 2,
+        "parity_rhs": t.negative_count() % 2,
+        "zero_entry": s.has_zero_entry(),
+    }
+    return result

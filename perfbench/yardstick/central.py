@@ -1,0 +1,238 @@
+"""Central characters as canonically factored rational functions, plus
+exact truncated-series checks of the defining parameter identities.
+
+The central character attached to a partition with parameter delta is
+
+    -(u - 1/2)(u + 1/2) * prod over boxes gamma_c(u),
+
+    gamma_c(u) = ((u+c)^2 - 1) (u-c)^2 / ( ((u-c)^2 - 1) (u+c)^2 ),
+
+with c running over the delta-shifted contents of the boxes.  Every factor
+is linear with a rational root, so a product is stored as a nonzero
+rational constant together with a root -> exponent map; equality of
+characters is componentwise equality of the canonical forms and never
+expands a polynomial.
+
+The parameter sequence of the Brauer specialisation is
+gamma_a = delta * ((delta-1)/2)**a.  Its generating series
+u - 1/2 + sum_a gamma_a u^{-a} multiplied by its reflection u -> -u must
+equal (1/2 - u)(1/2 + u), and the odd-index coefficients must satisfy the
+admissibility recursion; both checks run in exact arithmetic on truncated
+Laurent series.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .partitions import HALF, Partition
+
+
+@dataclass(frozen=True)
+class FactoredRational:
+    """constant * prod (u - root)^exponent with nonzero exponents, factors
+    sorted by root."""
+
+    constant: Fraction
+    factors: tuple[tuple[Fraction, int], ...]
+
+    @staticmethod
+    def from_parts(constant, factor_map: dict) -> "FactoredRational":
+        c = Fraction(constant)
+        if c == 0:
+            raise ValueError("constant must be nonzero")
+        factors = tuple(
+            sorted((Fraction(r), int(e)) for r, e in factor_map.items() if e != 0)
+        )
+        return FactoredRational(c, factors)
+
+    def __mul__(self, other: "FactoredRational") -> "FactoredRational":
+        merged = dict(self.factors)
+        for r, e in other.factors:
+            merged[r] = merged.get(r, 0) + e
+        return FactoredRational.from_parts(self.constant * other.constant, merged)
+
+    def evaluate(self, point) -> Fraction:
+        """Exact value at a rational point; raises ZeroDivisionError at a pole."""
+        u = Fraction(point)
+        value = self.constant
+        for r, e in self.factors:
+            value *= (u - r) ** e
+        return value
+
+    def render(self) -> str:
+        """Display string with factors ordered by increasing displayed offset,
+        e.g. -(u-1/2)^4(u+3/2)/((u-3/2)(u+1/2)^2)."""
+        nums = sorted(((r, e) for r, e in self.factors if e > 0), key=lambda t: -t[0])
+        dens = sorted(((r, -e) for r, e in self.factors if e < 0), key=lambda t: -t[0])
+        if nums:
+            body = "".join(_factor_str(r, e) for r, e in nums)
+            if self.constant == 1:
+                head = body
+            elif self.constant == -1:
+                head = "-" + body
+            else:
+                head = f"{self.constant}*{body}"
+        else:
+            head = str(self.constant)
+        if dens:
+            return head + "/(" + "".join(_factor_str(r, e) for r, e in dens) + ")"
+        return head
+
+    def to_json(self) -> dict:
+        return {
+            "factored": self.render(),
+            "constant": [self.constant.numerator, self.constant.denominator],
+            "factors": [[r.numerator, r.denominator, e] for r, e in self.factors],
+        }
+
+
+def _factor_str(root: Fraction, exponent: int) -> str:
+    offset = -root
+    if offset == 0:
+        base = "u"
+    elif offset > 0:
+        base = f"(u+{offset})"
+    else:
+        base = f"(u-{-offset})"
+    return base if exponent == 1 else f"{base}^{exponent}"
+
+
+ONE = FactoredRational(Fraction(1), ())
+
+
+def gamma_factor(content) -> FactoredRational:
+    """Canonical factored form of gamma_c(u); the four quadratics split into
+    linear factors with roots -c+1, -c-1, c (double) over c+1, c-1, -c (double)."""
+    c = Fraction(content)
+    factor_map: dict[Fraction, int] = {}
+    for root, e in ((1 - c, 1), (-1 - c, 1), (c, 2), (1 + c, -1), (c - 1, -1), (-c, -2)):
+        factor_map[root] = factor_map.get(root, 0) + e
+    return FactoredRational.from_parts(Fraction(1), factor_map)
+
+
+def central_character(lam: Partition, delta) -> FactoredRational:
+    """Scalar by which the central series acts on the standard module of lam,
+    fully cancelled; the constant is always -1."""
+    result = FactoredRational.from_parts(Fraction(-1), {HALF: 1, -HALF: 1})
+    for c in lam.contents(delta):
+        result = result * gamma_factor(c)
+    return result
+
+
+def centrally_equivalent(lam: Partition, mu: Partition, delta) -> bool:
+    return central_character(lam, delta) == central_character(mu, delta)
+
+
+def weight_of_rational(f: FactoredRational) -> dict[Fraction, int]:
+    """Zero-minus-pole multiplicities as a fundamental-weight coordinate map:
+    a root r with exponent e contributes e at index r."""
+    return dict(f.factors)
+
+
+class TruncatedLaurent:
+    """Laurent series with rational coefficients, known exactly for all
+    degrees >= low; above the top stored degree every coefficient is exactly
+    zero.  Multiplication tracks the degrees the product determines exactly."""
+
+    __slots__ = ("coeffs", "low")
+
+    def __init__(self, coeffs: dict, low: int):
+        self.low = low
+        self.coeffs = {
+            d: Fraction(c) for d, c in coeffs.items() if d >= low and c != 0
+        }
+
+    @property
+    def top(self) -> int:
+        return max(self.coeffs, default=self.low - 1)
+
+    def coefficient(self, degree: int) -> Fraction:
+        if degree < self.low:
+            raise ValueError(f"coefficient of degree {degree} is below the truncation")
+        return self.coeffs.get(degree, Fraction(0))
+
+    def __mul__(self, other: "TruncatedLaurent") -> "TruncatedLaurent":
+        low = max(self.low + other.top, other.low + self.top)
+        out: dict[int, Fraction] = {}
+        for d1, c1 in self.coeffs.items():
+            for d2, c2 in other.coeffs.items():
+                d = d1 + d2
+                if d >= low:
+                    out[d] = out.get(d, Fraction(0)) + c1 * c2
+        return TruncatedLaurent(out, low)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, TruncatedLaurent)
+            and self.low == other.low
+            and self.coeffs == other.coeffs
+        )
+
+    def __repr__(self):
+        terms = ", ".join(f"u^{d}: {c}" for d, c in sorted(self.coeffs.items(), reverse=True))
+        return f"TruncatedLaurent({{{terms}}}, low={self.low})"
+
+
+def brauer_gammas(delta, length: int) -> list[Fraction]:
+    """The parameter sequence gamma_a = delta * ((delta-1)/2)**a, a < length."""
+    d = Fraction(delta)
+    base = (d - 1) / 2
+    out: list[Fraction] = []
+    power = Fraction(1)
+    for _ in range(length):
+        out.append(d * power)
+        power *= base
+    return out
+
+
+def _gamma_series(gammas, reflect: bool = False) -> TruncatedLaurent:
+    """u - 1/2 + sum_a gamma_a u^{-a}, optionally with u replaced by -u."""
+    coeffs: dict[int, Fraction] = {
+        1: Fraction(-1 if reflect else 1),
+        0: Fraction(gammas[0]) - HALF,
+    }
+    for a in range(1, len(gammas)):
+        c = Fraction(gammas[a])
+        if reflect and a % 2:
+            c = -c
+        coeffs[-a] = c
+    return TruncatedLaurent(coeffs, -(len(gammas) - 1))
+
+
+def parameter_series(delta, order: int) -> TruncatedLaurent:
+    """Generating series of the Brauer parameters, truncated below u^-order."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return _gamma_series(brauer_gammas(delta, order + 1))
+
+
+def check_reflection_product(gammas, order: int) -> bool:
+    """Whether the generating series times its u -> -u reflection equals
+    (1/2 - u)(1/2 + u) = 1/4 - u^2, on every product coefficient the given
+    truncation determines exactly."""
+    if len(gammas) < order + 1:
+        raise ValueError("need at least order+1 parameter coefficients")
+    product = _gamma_series(gammas) * _gamma_series(gammas, reflect=True)
+    target = {2: Fraction(-1), 0: Fraction(1, 4)}
+    low = max(product.low, -order)
+    return all(
+        product.coefficient(d) == target.get(d, Fraction(0)) for d in range(low, 3)
+    )
+
+
+def check_admissible(gammas, order: int) -> bool:
+    """Whether the recursion
+    2*gamma_k = -gamma_{k-1} + sum_{j=1..k} (-1)^(j-1) gamma_{j-1} gamma_{k-j}
+    holds for every odd k <= order."""
+    if len(gammas) < order + 1:
+        raise ValueError("need at least order+1 parameter coefficients")
+    g = [Fraction(x) for x in gammas]
+    for k in range(1, order + 1, 2):
+        rhs = -g[k - 1] + sum(
+            (-1) ** (j - 1) * g[j - 1] * g[k - j] for j in range(1, k + 1)
+        )
+        if 2 * g[k] != rhs:
+            return False
+    return True

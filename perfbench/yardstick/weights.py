@@ -1,0 +1,121 @@
+"""Weights of partitions in simple-root coordinates, reduced modulo the
+sublattice fixed up to sign by the index involution i -> -i.
+
+For integral delta the weight attached to a partition is one fixed
+fundamental weight minus the sum of the simple roots indexed by the shifted
+contents of its boxes.  The fundamental weight is shared by every partition
+and never materialised; only the finitely supported alpha-part is stored,
+as a plain dict mapping root index (Fraction in Z or Z + 1/2, matching the
+parity of delta - 1) to an integer coefficient with zeros stripped.
+
+Two alpha-parts represent the same class modulo the sublattice spanned by
+alpha_i + alpha_{-i} (i > 0), together with 2*alpha_0 when the index 0
+occurs (delta odd), exactly when their :class:`SymWeight` reductions agree:
+the reduction keeps r_i = v(i) - v(-i) for i > 0 plus the parity of v(0).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from .partitions import Partition, twice
+
+
+def _integral(delta) -> int:
+    d = Fraction(delta)
+    if d.denominator != 1:
+        raise ValueError("weights require integral delta")
+    return d.numerator
+
+
+def _check_index(key, delta: int) -> None:
+    if twice(key) % 2 != (delta - 1) % 2:
+        raise ValueError(
+            f"index {key} does not lie in the root-index set for delta={delta}"
+        )
+
+
+def weight_alpha_part(lam: Partition, delta) -> dict[Fraction, int]:
+    """Box count per shifted content; the weight of lam is the shared
+    fundamental weight minus sum coeffs[i] * alpha_i."""
+    d = _integral(delta)
+    out: dict[Fraction, int] = {}
+    for c in lam.contents(d):
+        out[c] = out.get(c, 0) + 1
+    return out
+
+
+def vector_sum(u: dict, v: dict) -> dict:
+    out = dict(u)
+    for k, c in v.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def vector_diff(u: dict, v: dict) -> dict:
+    return vector_sum(u, {k: -c for k, c in v.items()})
+
+
+def vector_neg(u: dict) -> dict:
+    return {k: -c for k, c in u.items()}
+
+
+@dataclass(frozen=True)
+class SymWeight:
+    """Complete invariant of a root vector modulo the symmetrised sublattice:
+    the coefficients r_i = v(i) - v(-i) for i > 0 (sorted, zeros dropped) and,
+    when the index 0 exists, the parity of v(0)."""
+
+    pos: tuple[tuple[Fraction, int], ...]
+    zero_parity: int | None
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.pos and not self.zero_parity
+
+
+def reduce_mod_qtheta(v: dict, delta) -> SymWeight:
+    """Reduce a root vector to its class; raises on index-parity mismatch."""
+    d = _integral(delta)
+    pos: dict[Fraction, int] = {}
+    zero_count = 0
+    for k, c in v.items():
+        _check_index(k, d)
+        if c == 0:
+            continue
+        key = Fraction(k)
+        if key > 0:
+            pos[key] = pos.get(key, 0) + c
+        elif key < 0:
+            pos[-key] = pos.get(-key, 0) - c
+        else:
+            zero_count += c
+    entries = tuple(sorted((k, c) for k, c in pos.items() if c))
+    zero_parity = zero_count % 2 if d % 2 != 0 else None
+    return SymWeight(entries, zero_parity)
+
+
+def same_bar_weight(lam: Partition, mu: Partition, delta) -> bool:
+    """Whether the weights of lam and mu agree modulo the symmetrised sublattice."""
+    diff = vector_diff(weight_alpha_part(lam, delta), weight_alpha_part(mu, delta))
+    return reduce_mod_qtheta(diff, delta).is_zero
+
+
+def alpha_in_omega(i) -> dict[Fraction, int]:
+    """Expansion of the simple root alpha_i in fundamental-weight coordinates:
+    alpha_i = 2*omega_i - omega_{i-1} - omega_{i+1}."""
+    x = Fraction(i)
+    return {x: 2, x - 1: -1, x + 1: -1}
+
+
+def root_vector_json(v: dict) -> list[list[int]]:
+    """Pairs [twiceIndex, coefficient] sorted by index."""
+    return [[twice(k), c] for k, c in sorted(v.items())]
+
+
+def sym_weight_json(w: SymWeight) -> dict:
+    return {
+        "posPart": [[twice(k), c] for k, c in w.pos],
+        "zeroParity": w.zero_parity,
+    }
