@@ -114,11 +114,33 @@ def gamma_factor(content) -> FactoredRational:
 
 def central_character(lam: Partition, delta) -> FactoredRational:
     """Scalar by which the central series acts on the standard module of lam,
-    fully cancelled; the constant is always -1."""
-    result = FactoredRational.from_parts(Fraction(-1), {HALF: 1, -HALF: 1})
-    for c in lam.contents(delta):
-        result = result * gamma_factor(c)
-    return result
+    fully cancelled; the constant is always -1.
+
+    Row i carries the consecutive contents a..b with a = base + 1 - i and
+    b = base + lam_i - i, and over that run the gamma product telescopes to
+
+        (u+a-1)(u+b+1)(u-a)(u-b) / ((u+a)(u+b)(u-a+1)(u-b-1)),
+
+    so each row adds 8 linear factors.  Every root is +base + k or -base + k
+    for an integer k; exponents are summed on those integer offsets and only
+    the distinct roots become Fractions, giving O(rows + F log F) for F
+    distinct roots."""
+    base = (Fraction(delta) - 1) / 2
+    plus: dict[int, int] = {}  # exponent of the root base + k, keyed by k
+    minus: dict[int, int] = {}  # exponent of the root -base + k, keyed by k
+    for i, part in enumerate(lam.parts, 1):
+        p, q = 1 - i, part - i  # a = base + p, b = base + q
+        for k, e in ((p, 1), (q, 1), (q + 1, -1), (p - 1, -1)):
+            plus[k] = plus.get(k, 0) + e
+        for k, e in ((1 - p, 1), (-q - 1, 1), (-q, -1), (-p, -1)):
+            minus[k] = minus.get(k, 0) + e
+    factor_map: dict[Fraction, int] = {HALF: 1, -HALF: 1}
+    for sign, offsets in ((1, plus), (-1, minus)):
+        for k, e in offsets.items():
+            if e:
+                root = sign * base + k
+                factor_map[root] = factor_map.get(root, 0) + e
+    return FactoredRational.from_parts(Fraction(-1), factor_map)
 
 
 def centrally_equivalent(lam: Partition, mu: Partition, delta) -> bool:

@@ -208,9 +208,22 @@ def _parallel_block_members(lam, delta, max_size, jobs):
     return sorted(merged, key=canonical_key)
 
 
+def _require_jobs(args, parser: argparse.ArgumentParser) -> None:
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args, parser)
+    except ValueError as exc:
+        # the library signals bad input with ValueError; that is a usage error
+        parser.error(str(exc))
+
+
+def _dispatch(args, parser: argparse.ArgumentParser) -> int:
     fmt = args.format
 
     if args.command == "same-block":
@@ -237,6 +250,7 @@ def main(argv=None) -> int:
     if args.command == "block":
         if args.max_size < args.partition.size:
             parser.error("--max-size must be at least the size of --partition")
+        _require_jobs(args, parser)
         _emit(_run_block(args), fmt)
         return 0
 
@@ -266,12 +280,11 @@ def main(argv=None) -> int:
 
     if args.command == "dot-orbit":
         d = _require_integer(args.delta, parser, "the orbit oracle")
+        if args.n < 0:
+            parser.error("--n must be nonnegative")
         if args.n > BFS_RANK_CAP and not args.force:
             parser.error(f"--n above the safety cap {BFS_RANK_CAP}; pass --force to override")
-        try:
-            member = dot_orbit_member(args.lhs, args.rhs, args.n, d, allow_large=args.force)
-        except ValueError as exc:
-            parser.error(str(exc))
+        member = dot_orbit_member(args.lhs, args.rhs, args.n, d, allow_large=args.force)
         payload = {
             "delta": str(args.delta),
             "n": args.n,
@@ -325,10 +338,7 @@ def main(argv=None) -> int:
         charge = sector_charge(args.delta)
         vector = WedgeVector.basis(make_sequence(args.shape, charge))
         op = {"b": apply_b, "raising": apply_raising, "lowering": apply_lowering}[args.op]
-        try:
-            result = op(args.index, vector)
-        except ValueError as exc:
-            parser.error(str(exc))
+        result = op(args.index, vector)
         payload = {
             "delta": str(args.delta),
             "op": args.op,
@@ -344,6 +354,9 @@ def main(argv=None) -> int:
             parser.error("--max-size and --order must be nonnegative")
         if args.max_size > 10 and not args.force:
             parser.error("--max-size above 10; pass --force to override")
+        if args.delta_min > args.delta_max:
+            parser.error("--delta-min must not exceed --delta-max")
+        _require_jobs(args, parser)
         results = verify_mod.run_verify(
             max_size=args.max_size,
             delta_lo=args.delta_min,

@@ -91,11 +91,19 @@ class Partition:
         return [base + (j - i) for (i, j) in self.boxes()]
 
     def transpose(self) -> "Partition":
-        """Reflect the diagram: row k of the result counts parts >= k."""
-        if not self.parts:
-            return Partition()
-        width = self.parts[0]
-        return Partition(sum(1 for p in self.parts if p >= j) for j in range(1, width + 1))
+        """Reflect the diagram: row k of the result counts parts >= k.
+
+        One pointer walks the rows from the bottom up; row i contributes the
+        value i to the columns its part adds beyond the part below it, so the
+        cost is O(length + width)."""
+        out: list[int] = []
+        below = 0
+        for i in range(len(self.parts), 0, -1):
+            p = self.parts[i - 1]
+            if p > below:
+                out.extend([i] * (p - below))
+                below = p
+        return Partition(out)
 
 
 def canonical_key(p: Partition):

@@ -38,11 +38,22 @@ def _check_index(key, delta: int) -> None:
 
 def weight_alpha_part(lam: Partition, delta) -> dict[Fraction, int]:
     """Box count per shifted content; the weight of lam is the shared
-    fundamental weight minus sum coeffs[i] * alpha_i."""
+    fundamental weight minus sum coeffs[i] * alpha_i.
+
+    Row i covers the unshifted contents 1 - i .. lam_i - i, so a difference
+    array over the range 1 - length .. width - 1 counts every content in
+    O(rows + width + length); keys come out in increasing order."""
     d = _integral(delta)
+    lo = 1 - len(lam)
+    diff = [0] * (lam.part(1) - lo + 1)
+    for i, part in enumerate(lam.parts, 1):
+        diff[1 - i - lo] += 1
+        diff[part - i + 1 - lo] -= 1
     out: dict[Fraction, int] = {}
-    for c in lam.contents(d):
-        out[c] = out.get(c, 0) + 1
+    count = 0
+    for k, step in enumerate(diff[:-1], lo):
+        count += step
+        out[Fraction(d - 1 + 2 * k, 2)] = count
     return out
 
 

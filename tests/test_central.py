@@ -176,3 +176,35 @@ def test_render_edge_cases():
     json_form = central_character(Partition((1,)), 2).to_json()
     assert json_form["constant"] == [-1, 1]
     assert [1, 2, 4] in json_form["factors"]
+
+
+def _per_box_character(lam: Partition, delta) -> FactoredRational:
+    # the defining fold: one gamma factor per box content
+    result = FactoredRational.from_parts(Fraction(-1), {H: 1, -H: 1})
+    for c in lam.contents(delta):
+        result = result * gamma_factor(c)
+    return result
+
+
+def test_per_row_character_equals_per_box_fold():
+    deltas = list(range(-3, 7)) + [Fraction(7, 2), Fraction(-1, 3)]
+    for delta in deltas:
+        for lam in enumerate_partitions(10):
+            assert central_character(lam, delta) == _per_box_character(lam, delta), (lam, delta)
+
+
+def _defining_one_row(width: int, delta, u: Fraction) -> Fraction:
+    # the telescoped gamma product over one row with contents a..b
+    a = Fraction(delta - 1, 2)
+    b = a + width - 1
+    value = (H - u) * (H + u)
+    value *= (u + a - 1) * (u + b + 1) * (u - a) * (u - b)
+    return value / ((u + a) * (u + b) * (u - a + 1) * (u - b - 1))
+
+
+def test_character_cost_follows_rows_not_boxes():
+    char = central_character(Partition((10**11,)), 2)
+    assert char.constant == -1
+    assert len(char.factors) <= 8 + 2
+    assert char.evaluate(Fraction(1, 3)) == _defining_one_row(10**11, 2, Fraction(1, 3))
+

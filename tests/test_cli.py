@@ -185,3 +185,37 @@ def test_verify_fault_injection(capsys):
     failing = [c for c in payload["checks"] if not c["passed"]]
     assert failing and failing[0]["name"] == "key-consistency"
     assert failing[0]["counterexample"]
+
+
+def _usage_error(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    return captured.err.strip().splitlines()[-1]
+
+
+def test_library_value_error_exits_2(capsys):
+    message = _usage_error(
+        capsys, "wedge-apply", "--delta", "1/3", "--shape", "1", "--op", "b", "--index", "0"
+    )
+    assert "not an integer or half-integer" in message
+
+
+def test_empty_delta_range_and_bad_jobs_exit_2(capsys):
+    message = _usage_error(capsys, "verify", "--delta-min", "5", "--delta-max", "-3")
+    assert "--delta-min must not exceed --delta-max" in message
+    for jobs in ("0", "-1"):
+        message = _usage_error(
+            capsys, "block", "--delta", "2", "--partition", "", "--max-size", "2", "--jobs", jobs
+        )
+        assert "--jobs must be at least 1" in message
+        message = _usage_error(capsys, "verify", "--max-size", "0", "--jobs", jobs)
+        assert "--jobs must be at least 1" in message
+
+
+def test_dot_orbit_negative_rank_exits_2(capsys):
+    message = _usage_error(capsys, "dot-orbit", "--delta", "2", "--lhs", "", "--rhs", "", "--n", "-1")
+    assert message.endswith("--n must be nonnegative")

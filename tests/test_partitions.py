@@ -39,9 +39,15 @@ def test_transpose_examples():
     assert Partition((3, 3)).transpose() == Partition((2, 2, 2))
 
 
+def _transpose_by_definition(lam: Partition) -> tuple:
+    # part j of the transpose is #{i : lam_i >= j}
+    return tuple(sum(1 for p in lam.parts if p >= j) for j in range(1, lam.part(1) + 1))
+
+
 def test_transpose_involution_and_size():
     for lam in enumerate_partitions(12):
         t = lam.transpose()
+        assert t.parts == _transpose_by_definition(lam)
         assert t.transpose() == lam
         assert t.size == lam.size
 
@@ -105,3 +111,16 @@ def test_half_integer_helpers():
     assert twice(4) == 8
     with pytest.raises(ValueError):
         twice(Fraction(1, 3))
+
+
+def test_transpose_of_large_hooks_and_columns():
+    n = 10**4
+    hooks = [Partition((arm,) + (1,) * (n - arm)) for arm in (1, 2, n // 2, n - 1, n)]
+    for lam in hooks:
+        # column j holds #{i : lam_i >= j} boxes; counting boxes costs O(size)
+        columns: dict[int, int] = {}
+        for _, j in lam.boxes():
+            columns[j] = columns.get(j, 0) + 1
+        t = lam.transpose()
+        assert t.parts == tuple(columns[j] for j in range(1, lam.part(1) + 1))
+        assert t.transpose() == lam

@@ -32,6 +32,23 @@ def test_alpha_part_counts_boxes():
     assert sum(coeffs.values()) == lam.size
 
 
+def _alpha_part_per_box(lam: Partition, delta) -> dict:
+    out: dict = {}
+    for c in lam.contents(delta):
+        out[c] = out.get(c, 0) + 1
+    return out
+
+
+def test_alpha_part_equals_per_box_count():
+    for delta in (-3, 0, 1, 2, 5):
+        for lam in enumerate_partitions(12):
+            assert weight_alpha_part(lam, delta) == _alpha_part_per_box(lam, delta)
+    n = 10**4
+    for lam in (Partition((1,) * n), Partition((n,)), Partition((n // 2,) + (1,) * (n - n // 2))):
+        for delta in (1, 2):
+            assert weight_alpha_part(lam, delta) == _alpha_part_per_box(lam, delta)
+
+
 def test_alpha_part_requires_integral_delta():
     with pytest.raises(ValueError, match="integral delta"):
         weight_alpha_part(Partition((1,)), Fraction(7, 2))
