@@ -27,12 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import Partition, enumerate_partitions, partitions_of_size
+from .partitions import Partition, canonical_key, integral, partitions_of_size
 from .sequences import (
     ChargedSequence,
     OrbitKey,
     make_sequence,
     orbit_key,
+    orbit_twice_key,
     same_orbit,
     shape_from_entries,
 )
@@ -43,13 +44,6 @@ BFS_RANK_CAP = 8
 def sector_charge(delta) -> Fraction:
     """The charge delta/2 - 1 of the sector attached to the parameter."""
     return Fraction(delta) / 2 - 1
-
-
-def _integral(delta, message: str) -> int:
-    d = Fraction(delta)
-    if d.denominator != 1:
-        raise ValueError(message)
-    return d.numerator
 
 
 def _label_sequence(lam: Partition, delta) -> ChargedSequence:
@@ -73,7 +67,7 @@ def same_block(lam: Partition, mu: Partition, delta) -> bool:
 
 def block_key(lam: Partition, delta) -> OrbitKey:
     """Canonical key with block_key(lam) == block_key(mu) iff same block."""
-    d = _integral(delta, "block keys require integral delta")
+    d = integral(delta, "block keys require integral delta")
     return orbit_key(_label_sequence(lam, d))
 
 
@@ -91,7 +85,7 @@ def classify_weight_class(lam: Partition, delta) -> BlockClassification:
     """Single block when delta is odd or the transposed sequence has a zero
     entry; otherwise split, with the partner obtained by moving a tail entry
     to the front with its sign flipped."""
-    d = _integral(delta, "weight-class classification requires integral delta")
+    d = integral(delta, "weight-class classification requires integral delta")
     seq = _label_sequence(lam, d)
     if d % 2 != 0 or seq.has_zero_entry():
         return BlockClassification(split=False)
@@ -105,28 +99,73 @@ def classify_weight_class(lam: Partition, delta) -> BlockClassification:
 
 
 def enumerate_block_members(lam: Partition, delta, max_size: int) -> list[Partition]:
-    """All labels of size <= max_size in the block of lam, canonical order."""
+    """All labels of size <= max_size in the block of lam, canonical order.
+
+    Built from the orbit rather than by filtering candidates, in twice-units
+    on the sequence of lam's transpose.  An entry is *fixed* when it is 0 or
+    its negative is also an entry; every member keeps the fixed entries and
+    picks a sign for each *free* one.  From the base, where every free entry
+    is positive, a member is the set S of free absolute values it negates:
+    negating a adds a boxes, and |S| keeps lam's count of negative free
+    entries mod 2 unless 0 is an entry.  The depth-first search over S with
+    sum(S) <= max_size - |base| visits at most F + 2 sets per member found,
+    for F free values within that budget: a set of the wrong parity drops
+    its largest value to reach a member."""
     if max_size < lam.size:
         raise ValueError("max_size must be at least the size of the partition")
-    return [mu for mu in enumerate_partitions(max_size) if same_block(lam, mu, delta)]
+    d = Fraction(delta)
+    if d.denominator != 1:
+        return [lam]
+    c2 = d.numerator - 2
+    mu = lam.transpose()
+    # read past every |negative entry| (the smallest entry is the first) and past 0
+    reach = max(len(mu), (max(0, -(c2 + 2 - 2 * mu.part(1))) - c2) // 2)
+    entries = [c2 + 2 * (k - mu.part(k)) for k in range(1, reach + 1)]
+    present = set(entries)
+    free = {v for v in entries if v != 0 and -v not in present}
+    free_negative = [-v for v in free if v < 0]
+    budget = max_size - lam.size + sum(free_negative)
+    # tail entries c2 + 2k beyond the read ones are positive, free, and
+    # unflippable once they exceed the budget
+    tail = range(c2 + 2 * reach + 2, budget + 1, 2)
+    base = [v for v in entries if v not in free] + [abs(v) for v in free] + list(tail)
+    flippable = sorted(a for a in map(abs, free) if a <= budget) + list(tail)
+    parity = None if 0 in present else len(free_negative) % 2
+    members: list[Partition] = []
+
+    def visit(start: int, flipped: list[int], room: int) -> None:
+        if parity is None or len(flipped) % 2 == parity:
+            negated = set(flipped)
+            seq = sorted(-v if v in negated else v for v in base)
+            parts = [(c2 + 2 * k - e) // 2 for k, e in enumerate(seq, 1)]
+            while parts and parts[-1] == 0:
+                parts.pop()
+            members.append(Partition(parts).transpose())
+        for i in range(start, len(flippable)):
+            a = flippable[i]
+            if a > room:
+                break
+            flipped.append(a)
+            visit(i + 1, flipped, room - a)
+            flipped.pop()
+
+    visit(0, [], budget)
+    return sorted(members, key=canonical_key)
 
 
 def brauer_algebra_blocks(n: int, delta) -> list[list[Partition]]:
     """Blocks of the rank-n Brauer algebra: the labels of sizes n, n-2, ...
-    partitioned by the block relation, in canonical order."""
+    partitioned by the block relation, in canonical order.  Labels are
+    grouped on the integer orbit key of their transposes; groups keep the
+    order in which they are first met."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    d = _integral(delta, "Brauer-algebra blocks require integral delta")
-    groups: dict[OrbitKey, list[Partition]] = {}
-    order: list[OrbitKey] = []
+    c2 = integral(delta, "Brauer-algebra blocks require integral delta") - 2
+    groups: dict[tuple, list[Partition]] = {}
     for m in range(n % 2, n + 1, 2):
         for p in partitions_of_size(m):
-            key = block_key(p, d)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(p)
-    return [groups[key] for key in order]
+            groups.setdefault(orbit_twice_key(c2, p.transpose()), []).append(p)
+    return list(groups.values())
 
 
 def _shifted_vector(p: Partition, n: int, delta: int) -> tuple[int, ...]:
@@ -166,7 +205,7 @@ def dot_orbit_member(a: Partition, b: Partition, n: int, delta, *, allow_large: 
     Takes transposed-level labels (see the module docstring).  Ranks above
     BFS_RANK_CAP are refused unless allow_large is set.
     """
-    d = _integral(delta, "the orbit oracle requires integral delta")
+    d = integral(delta, "the orbit oracle requires integral delta")
     if len(a.parts) > n or len(b.parts) > n:
         raise ValueError("partition length exceeds the rank n")
     if n > BFS_RANK_CAP and not allow_large:

@@ -125,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_delta_arg, required=True)
     p.add_argument("--partition", type=_partition_arg, required=True)
     p.add_argument("--max-size", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="deprecated and ignored: enumeration runs in one process"
+    )
 
     p = add("classify-weight-class", "single block or a split pair, with the partner label")
     p.add_argument("--delta", type=_delta_arg, required=True)
@@ -174,38 +176,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_block(args) -> dict:
-    if args.jobs > 1:
-        members = _parallel_block_members(args.partition, args.delta, args.max_size, args.jobs)
-    else:
-        members = enumerate_block_members(args.partition, args.delta, args.max_size)
+    members = enumerate_block_members(args.partition, args.delta, args.max_size)
     return {
         "delta": str(args.delta),
         "partition": _parts(args.partition),
         "max_size": args.max_size,
         "members": [_parts(m) for m in members],
     }
-
-
-def _block_chunk(payload) -> list:
-    lam, delta, chunk = payload
-    from .blocks import same_block
-
-    return [mu for mu in chunk if same_block(lam, mu, delta)]
-
-
-def _parallel_block_members(lam, delta, max_size, jobs):
-    from concurrent.futures import ProcessPoolExecutor
-
-    from .partitions import enumerate_partitions
-
-    candidates = enumerate_partitions(max_size)
-    chunks = [candidates[i::jobs] for i in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_block_chunk, [(lam, delta, c) for c in chunks]))
-    merged = [mu for chunk in results for mu in chunk]
-    from .partitions import canonical_key
-
-    return sorted(merged, key=canonical_key)
 
 
 def _require_jobs(args, parser: argparse.ArgumentParser) -> None:

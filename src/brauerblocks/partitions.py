@@ -36,6 +36,14 @@ def twice(value) -> int:
     return q.numerator
 
 
+def integral(value, message: str) -> int:
+    """value as an int; raises ValueError(message) unless it is an integer."""
+    q = Fraction(value)
+    if q.denominator != 1:
+        raise ValueError(message)
+    return q.numerator
+
+
 class Partition:
     """Immutable weakly decreasing sequence of positive integers."""
 

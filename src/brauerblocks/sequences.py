@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import Partition, twice
+from .partitions import Partition, half, twice
 
 WILDCARD = "*"
 
@@ -106,18 +106,41 @@ class OrbitKey:
         }
 
 
-def orbit_key(seq: ChargedSequence) -> OrbitKey:
-    """Deviation multiset over the window, against the vacuum; beyond the
-    window the two sequences coincide entry by entry."""
-    dev: dict[Fraction, int] = {}
-    for k in range(1, seq.length + 1):
-        v = abs(seq.entry(k))
+def orbit_twice_key(c2: int, shape: Partition) -> tuple:
+    """The orbit invariant of the sequence of `shape` at charge c2/2, in
+    twice-units: (deviations, parity).  Deviations are the sorted pairs
+    (twice the absolute value, count) of the window's absolute entries
+    against the vacuum; parity is the negative-entry count mod 2, or
+    WILDCARD when an entry vanishes.  Two sequences of one charge have
+    equal twice-keys exactly when their OrbitKeys are equal."""
+    dev: dict[int, int] = {}
+    negatives = 0
+    zero = False
+    for k, part in enumerate(shape.parts, 1):
+        v = c2 + 2 * (k - part)
+        if v < 0:
+            negatives += 1
+            v = -v
+        elif v == 0:
+            zero = True
         dev[v] = dev.get(v, 0) + 1
-        w = abs(seq.charge + k)
+        w = abs(c2 + 2 * k)
         dev[w] = dev.get(w, 0) - 1
     deviations = tuple(sorted((v, c) for v, c in dev.items() if c))
-    parity = WILDCARD if seq.has_zero_entry() else seq.negative_count() % 2
-    return OrbitKey(seq.charge, deviations, parity)
+    length = len(shape)
+    # tail entries c2 + 2k (k > length) vanish at k = -c2/2 and are negative below it
+    if zero or (c2 % 2 == 0 and -c2 >= 2 * length + 2):
+        return deviations, WILDCARD
+    negatives += max(0, (-c2 - 1) // 2 - length)
+    return deviations, negatives % 2
+
+
+def orbit_key(seq: ChargedSequence) -> OrbitKey:
+    """Deviation multiset over the window, against the vacuum; beyond the
+    window the two sequences coincide entry by entry.  Computed on
+    :func:`orbit_twice_key`, with Fractions only in the returned key."""
+    deviations, parity = orbit_twice_key(twice(seq.charge), seq.shape)
+    return OrbitKey(seq.charge, tuple((half(v), c) for v, c in deviations), parity)
 
 
 def same_orbit(s: ChargedSequence, t: ChargedSequence) -> bool:

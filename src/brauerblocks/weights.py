@@ -19,14 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import Partition, twice
-
-
-def _integral(delta) -> int:
-    d = Fraction(delta)
-    if d.denominator != 1:
-        raise ValueError("weights require integral delta")
-    return d.numerator
+from .partitions import Partition, integral, twice
 
 
 def _check_index(key, delta: int) -> None:
@@ -43,7 +36,7 @@ def weight_alpha_part(lam: Partition, delta) -> dict[Fraction, int]:
     Row i covers the unshifted contents 1 - i .. lam_i - i, so a difference
     array over the range 1 - length .. width - 1 counts every content in
     O(rows + width + length); keys come out in increasing order."""
-    d = _integral(delta)
+    d = integral(delta, "weights require integral delta")
     lo = 1 - len(lam)
     diff = [0] * (lam.part(1) - lo + 1)
     for i, part in enumerate(lam.parts, 1):
@@ -68,10 +61,6 @@ def vector_diff(u: dict, v: dict) -> dict:
     return vector_sum(u, {k: -c for k, c in v.items()})
 
 
-def vector_neg(u: dict) -> dict:
-    return {k: -c for k, c in u.items()}
-
-
 @dataclass(frozen=True)
 class SymWeight:
     """Complete invariant of a root vector modulo the symmetrised sublattice:
@@ -88,7 +77,7 @@ class SymWeight:
 
 def reduce_mod_qtheta(v: dict, delta) -> SymWeight:
     """Reduce a root vector to its class; raises on index-parity mismatch."""
-    d = _integral(delta)
+    d = integral(delta, "weights require integral delta")
     pos: dict[Fraction, int] = {}
     zero_count = 0
     for k, c in v.items():

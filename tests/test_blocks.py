@@ -12,7 +12,7 @@ from brauerblocks.blocks import (
     same_block_report,
     sector_charge,
 )
-from brauerblocks.partitions import Partition, enumerate_partitions
+from brauerblocks.partitions import Partition, enumerate_partitions, partitions_of_size
 from brauerblocks.sequences import WILDCARD, make_sequence, same_orbit
 from brauerblocks.weights import same_bar_weight
 
@@ -105,6 +105,26 @@ def test_enumerate_block_members_examples():
         enumerate_block_members(Partition((2, 2)), 2, 3)
 
 
+def test_enumeration_equals_the_filter_definition():
+    # delta <= -5 puts fixed +-pairs into the tail of the empty label's sequence
+    candidates = enumerate_partitions(12)
+    for delta in [*range(-7, 10), Fraction(3, 2), Fraction(-1, 3)]:
+        for lam in enumerate_partitions(6):
+            filtered = [mu for mu in candidates if same_block(lam, mu, delta)]
+            for bound in range(lam.size, 13):
+                expected = [mu for mu in filtered if mu.size <= bound]
+                assert enumerate_block_members(lam, delta, bound) == expected, (lam, delta, bound)
+
+
+def test_enumeration_reaches_far_past_the_filter():
+    members = enumerate_block_members(EMPTY, 2, 60)
+    assert len(set(members)) == len(members) > 1000
+    key = block_key(EMPTY, 2)
+    assert all(block_key(mu, 2) == key for mu in members)
+    small = [mu for mu in members if mu.size <= 16]
+    assert small == [mu for mu in enumerate_partitions(16) if same_block(EMPTY, mu, 2)]
+
+
 def test_brauer_algebra_blocks_examples():
     assert brauer_algebra_blocks(2, 2) == [
         [EMPTY],
@@ -130,6 +150,16 @@ def test_brauer_algebra_blocks_cover_labels():
                 anchor = group[0]
                 for mu in group[1:]:
                     assert same_block(anchor, mu, delta)
+
+
+def test_brauer_algebra_blocks_equal_the_orbit_key_grouping():
+    for delta in range(-6, 9):
+        for n in range(15):
+            grouped: dict = {}
+            for m in range(n % 2, n + 1, 2):
+                for p in partitions_of_size(m):
+                    grouped.setdefault(block_key(p, delta), []).append(p)
+            assert brauer_algebra_blocks(n, delta) == list(grouped.values()), (n, delta)
 
 
 def test_dot_orbit_examples():

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from brauerblocks.partitions import Partition, enumerate_partitions
 from brauerblocks.sequences import (
     WILDCARD,
+    OrbitKey,
     make_sequence,
     orbit_key,
+    orbit_twice_key,
     same_orbit,
     sequence_json,
     shape_from_entries,
@@ -82,6 +84,30 @@ def test_orbit_key_equality_decides_orbits():
         for i, s in enumerate(seqs):
             for j in range(i, len(seqs)):
                 assert same_orbit(s, seqs[j]) == (keys[i] == keys[j])
+
+
+def _per_entry_orbit_key(seq):
+    # the orbit key read entry by entry in Fractions, independent of the twice-key
+    dev: dict = {}
+    for k in range(1, seq.length + 1):
+        v, w = abs(seq.entry(k)), abs(seq.charge + k)
+        dev[v] = dev.get(v, 0) + 1
+        dev[w] = dev.get(w, 0) - 1
+    parity = WILDCARD if seq.has_zero_entry() else seq.negative_count() % 2
+    return OrbitKey(seq.charge, tuple(sorted((v, c) for v, c in dev.items() if c)), parity)
+
+
+def test_twice_key_equality_equals_orbit_key_equality():
+    parts = enumerate_partitions(10)
+    for delta in range(-6, 9):
+        charge = Fraction(delta, 2) - 1
+        seqs = [make_sequence(lam, charge) for lam in parts]
+        keys = [_per_entry_orbit_key(s) for s in seqs]
+        assert [orbit_key(s) for s in seqs] == keys
+        twice_keys = [orbit_twice_key(delta - 2, lam) for lam in parts]
+        for i in range(len(parts)):
+            for j in range(i, len(parts)):
+                assert (twice_keys[i] == twice_keys[j]) == (keys[i] == keys[j])
 
 
 def test_zero_presence_is_an_orbit_invariant():
