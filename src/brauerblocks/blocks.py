@@ -1,5 +1,5 @@
-"""Block classification for simple modules of the Brauer category, with an
-independent brute-force orbit oracle.
+"""Block classification for simple modules of the Brauer category, with two
+independent dot-orbit oracles.
 
 Simple modules are labelled by partitions.  For integral delta, two labels
 lie in the same block exactly when the charged sequences of their
@@ -10,15 +10,18 @@ every block is a single label.
 Label conventions: the public operations (same_block, block_key,
 classify_weight_class, enumerate_block_members, brauer_algebra_blocks)
 take the labels of the simple modules themselves and transpose internally.
-The brute-force oracle dot_orbit_member instead takes transposed-level
-labels, the partitions the dot action acts on directly; feeding it
-module labels without transposing first compares different objects.
+The orbit oracles dot_orbit_member and dot_dominant instead take
+transposed-level labels, the partitions the dot action acts on directly;
+feeding them module labels without transposing first compares different
+objects.
 
-The oracle shifts a label by rho_n (coordinates 1 - i - delta/2), then runs
-breadth-first search under the rank-n generators: adjacent swaps and the
-negate-and-swap of the first two coordinates.  The orbit is finite (at most
-2^(n-1) n! vectors) but grows fast; ranks above 8 require an explicit
-override.
+Both oracles shift a label by rho_n (coordinates 1 - i - delta/2) and use
+the rank-n generators: adjacent swaps and the negate-and-swap of the first
+two coordinates.  dot_dominant descends to the orbit's unique dominant
+vector in at most n(n-1) moves; the verify matrix uses it.  dot_orbit_member
+runs breadth-first search over the whole orbit, which is finite (at most
+2^(n-1) n! vectors) but grows fast, so ranks above 8 require an explicit
+override; it backs the dot-orbit CLI and certifies the descent in tests.
 """
 
 from __future__ import annotations
@@ -197,6 +200,38 @@ def _orbit_closure(start: tuple[int, ...]) -> frozenset:
                     fresh.append(t)
         frontier = fresh
     return frozenset(seen)
+
+
+def _dominant(v: tuple[int, ...]) -> tuple[int, ...]:
+    # each move strictly raises sum((i - 1) v_i), so at most n(n-1) moves
+    w = list(v)
+    moved = True
+    while moved:
+        moved = False
+        for i in range(len(w) - 1):
+            if w[i] > w[i + 1]:
+                w[i], w[i + 1] = w[i + 1], w[i]
+                moved = True
+        if len(w) >= 2 and w[0] + w[1] < 0:
+            w[0], w[1] = -w[1], -w[0]
+            moved = True
+    return tuple(w)
+
+
+def dot_dominant(p: Partition, n: int, delta) -> tuple[int, ...]:
+    """The dominant vector of the rank-n orbit of p + rho_n, in twice-units.
+
+    Takes a transposed-level label (see the module docstring).  Descent swaps
+    v_i > v_(i+1), and replaces (v_1, v_2) by (-v_2, -v_1) when
+    v_1 + v_2 < 0, until neither applies; it stops at the unique vector of
+    the orbit with |v_1| <= v_2 <= ... <= v_n (Humphreys, Reflection Groups
+    and Coxeter Groups, 1.12).  Two labels share an orbit exactly when their
+    dominant vectors are equal.
+    """
+    d = integral(delta, "the orbit oracle requires integral delta")
+    if len(p.parts) > n:
+        raise ValueError("partition length exceeds the rank n")
+    return _dominant(_shifted_vector(p, n, d))
 
 
 def dot_orbit_member(a: Partition, b: Partition, n: int, delta, *, allow_large: bool = False) -> bool:

@@ -168,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-min", type=int, default=-3)
     p.add_argument("--delta-max", type=int, default=5)
     p.add_argument("--order", type=int, default=24)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="deprecated and ignored: the matrix runs in one process"
+    )
     p.add_argument("--force", action="store_true", help="lift the size cap")
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
@@ -339,7 +341,6 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
             delta_lo=args.delta_min,
             delta_hi=args.delta_max,
             order=args.order,
-            jobs=args.jobs,
             inject_fault=args.inject_fault,
         )
         payload = verify_mod.report_json(results)

@@ -162,7 +162,3 @@ def same_orbit(s: ChargedSequence, t: ChargedSequence) -> bool:
     ps = sum(1 for k in range(1, w + 1) if s.entry(k) < 0) % 2
     pt = sum(1 for k in range(1, w + 1) if t.entry(k) < 0) % 2
     return ps == pt
-
-
-def sequence_json(seq: ChargedSequence) -> dict:
-    return {"twiceCharge": twice(seq.charge), "shape": list(seq.shape.parts)}

@@ -107,15 +107,3 @@ def alpha_in_omega(i) -> dict[Fraction, int]:
     alpha_i = 2*omega_i - omega_{i-1} - omega_{i+1}."""
     x = Fraction(i)
     return {x: 2, x - 1: -1, x + 1: -1}
-
-
-def root_vector_json(v: dict) -> list[list[int]]:
-    """Pairs [twiceIndex, coefficient] sorted by index."""
-    return [[twice(k), c] for k, c in sorted(v.items())]
-
-
-def sym_weight_json(w: SymWeight) -> dict:
-    return {
-        "posPart": [[twice(k), c] for k, c in w.pos],
-        "zeroParity": w.zero_parity,
-    }

@@ -1,11 +1,17 @@
+import re
 from fractions import Fraction
 
 import pytest
 
+from brauerblocks import verify
 from brauerblocks.blocks import (
+    _dominant,
+    _orbit_closure,
+    _shifted_vector,
     block_key,
     brauer_algebra_blocks,
     classify_weight_class,
+    dot_dominant,
     dot_orbit_member,
     enumerate_block_members,
     same_block,
@@ -190,6 +196,96 @@ def test_dot_orbit_matches_sequence_orbits_small():
                 n = max(a.size, b.size)
                 assert dot_orbit_member(a, b, n, delta) == expected
                 assert dot_orbit_member(a, b, n + 2, delta) == expected
+
+
+def _is_dominant(v) -> bool:
+    return len(v) < 2 or (abs(v[0]) <= v[1] and all(x <= y for x, y in zip(v[1:], v[2:])))
+
+
+def test_dot_dominant_equals_bfs_membership():
+    # every ordered pair of labels of size <= n at rank n, delta in -5..6:
+    # 17,700 pairs.  Labels are grouped by their descent result, over all
+    # deltas at once, and one BFS runs per group: the labels in the closure
+    # of the group's first member must be exactly the group, and the
+    # closure must hold the descent result.
+    for n in range(7):
+        labels = [(p, delta) for delta in range(-5, 7) for p in enumerate_partitions(n)]
+        vectors = {(p, delta): _shifted_vector(p, n, delta) for p, delta in labels}
+        groups: dict = {}
+        for p, delta in labels:
+            groups.setdefault(dot_dominant(p, n, delta), []).append((p, delta))
+        for dominant, group in groups.items():
+            closure = _orbit_closure.__wrapped__(vectors[group[0]])
+            assert dominant in closure, (n, group[0])
+            assert [label for label in labels if vectors[label] in closure] == group, (n, group[0])
+
+
+def test_dot_dominant_spot_checks_at_rank_7():
+    # orbits of 40,320, 40,320 and 80,640 vectors, against 322,560 for a
+    # rank-7 orbit without repeated absolute values
+    labels = enumerate_partitions(7)
+    for delta, start in ((-6, EMPTY), (-5, EMPTY), (-6, Partition((1, 1)))):
+        closure = _orbit_closure.__wrapped__(_shifted_vector(start, 7, delta))
+        dominant = dot_dominant(start, 7, delta)
+        assert [v for v in closure if _is_dominant(v)] == [dominant]
+        assert all(_dominant(v) == dominant for v in closure)
+        for p in labels:
+            assert (_shifted_vector(p, 7, delta) in closure) == (dot_dominant(p, 7, delta) == dominant)
+
+
+def test_dot_dominant_is_dominant_and_idempotent():
+    for n in range(11):
+        for delta in range(-7, 9):
+            for p in enumerate_partitions(min(n, 8)):
+                if len(p.parts) > n:
+                    continue
+                v = dot_dominant(p, n, delta)
+                assert _is_dominant(v), (p, n, delta)
+                assert _dominant(v) == v
+                assert sorted(map(abs, v)) == sorted(map(abs, _shifted_vector(p, n, delta)))
+
+
+def test_dot_dominant_examples_and_guards():
+    assert dot_dominant(EMPTY, 0, 3) == ()
+    assert dot_dominant(EMPTY, 2, 2) == (2, 4)
+    assert dot_dominant(Partition((1, 1)), 2, 2) == (0, 2)
+    assert dot_dominant(Partition((3, 3)), 6, 2) == dot_dominant(EMPTY, 6, 2)
+    assert len(dot_dominant(EMPTY, 40, 2)) == 40
+    with pytest.raises(ValueError, match="length"):
+        dot_dominant(Partition((1, 1, 1)), 2, 2)
+    with pytest.raises(ValueError, match="integral"):
+        dot_dominant(EMPTY, 2, Fraction(1, 2))
+
+
+def test_orbit_check_reaches_past_the_bfs_ranks():
+    # sizes <= 6 at ranks up to 8, where the BFS would visit 5.2M vectors per orbit
+    result = verify.check_orbit_vs_bfs(6, range(-5, 8))
+    assert result.passed, result.counterexample
+    assert result.scope == "sizes<=6, delta in [-5, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5, 6, 7], ranks n and n+2"
+
+
+def test_orbit_check_fails_when_the_criterion_ignores_parity(monkeypatch):
+    def abs_multiset_only(s, t):
+        w = max(s.length, t.length)
+        return sorted(abs(s.entry(k)) for k in range(1, w + 1)) == sorted(
+            abs(t.entry(k)) for k in range(1, w + 1)
+        )
+
+    monkeypatch.setattr(verify, "same_orbit", abs_multiset_only)
+    result = verify.check_orbit_vs_bfs(4, range(-2, 4))
+    assert not result.passed
+    found = re.fullmatch(
+        r"a=\[([\d, ]*)\] b=\[([\d, ]*)\] n=(\d+) delta=(-?\d+): orbit=True descent=False",
+        result.counterexample,
+    )
+    assert found, result.counterexample
+    a, b = (Partition(tuple(int(x) for x in g.split(",") if x)) for g in found.group(1, 2))
+    n, delta = int(found.group(3)), int(found.group(4))
+    # the named pair really lies in two orbits, by the BFS, though its absolute entries agree
+    assert not dot_orbit_member(a, b, n, delta)
+    charge = sector_charge(delta)
+    assert abs_multiset_only(make_sequence(a, charge), make_sequence(b, charge))
+    assert verify.check_orbit_vs_bfs(4, range(-2, 4)).counterexample == result.counterexample
 
 
 def test_same_block_report_fields():

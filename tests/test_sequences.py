@@ -12,7 +12,6 @@ from brauerblocks.sequences import (
     orbit_key,
     orbit_twice_key,
     same_orbit,
-    sequence_json,
     shape_from_entries,
 )
 from brauerblocks.weights import reduce_mod_qtheta, weight_alpha_part
@@ -163,7 +162,3 @@ def test_orbits_match_bar_weight_classes():
                         )
                         assert (keys[lam] == keys[mu]) == (parity_free or parity_eq)
 
-
-def test_sequence_json():
-    s = make_sequence(Partition((2, 1)), Fraction(-1, 2))
-    assert sequence_json(s) == {"twiceCharge": -1, "shape": [2, 1]}
