@@ -7,6 +7,14 @@ lie in the same block exactly when the charged sequences of their
 permutation group; for non-integral delta the category is semisimple and
 every block is a single label.
 
+The point queries work in integer twice-units on the transpose, with
+c2 = delta - 2, and build Fractions only for a returned OrbitKey.  For a
+label with r rows and w columns, same_block, block_key and
+same_block_report cost O(r + w log w): they read the twice-keys of
+sequences.orbit_twice_key, the one coding of the orbit rule, which the
+descent oracle below checks.  classify_weight_class costs O(r + w + output):
+it writes the partner in closed form.
+
 Label conventions: the public operations (same_block, block_key,
 classify_weight_class, enumerate_block_members, brauer_algebra_blocks)
 take the labels of the simple modules themselves and transpose internally.
@@ -31,15 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import Partition, canonical_key, integral, partitions_of_size
-from .sequences import (
-    ChargedSequence,
-    OrbitKey,
-    make_sequence,
-    orbit_key,
-    orbit_twice_key,
-    same_orbit,
-    shape_from_entries,
-)
+from .sequences import OrbitKey, key_from_twice, orbit_twice_key, sign_profile
 
 BFS_RANK_CAP = 8
 
@@ -49,29 +49,26 @@ def sector_charge(delta) -> Fraction:
     return Fraction(delta) / 2 - 1
 
 
-def _label_sequence(lam: Partition, delta) -> ChargedSequence:
-    return make_sequence(lam.transpose(), sector_charge(delta))
-
-
 def same_block(lam: Partition, mu: Partition, delta) -> bool:
     """Whether the simple modules labelled lam and mu lie in one block.
 
     Non-integral delta is semisimple, so blocks are singletons there.  The
     size-parity short circuit is sound because every orbit move preserves
-    the shape size modulo 2.
+    the shape size modulo 2; otherwise the transposes' twice-keys decide.
     """
     d = Fraction(delta)
     if d.denominator != 1:
         return lam == mu
     if (lam.size - mu.size) % 2 != 0:
         return False
-    return same_orbit(_label_sequence(lam, d), _label_sequence(mu, d))
+    c2 = d.numerator - 2
+    return orbit_twice_key(c2, lam.transpose()) == orbit_twice_key(c2, mu.transpose())
 
 
 def block_key(lam: Partition, delta) -> OrbitKey:
     """Canonical key with block_key(lam) == block_key(mu) iff same block."""
-    d = integral(delta, "block keys require integral delta")
-    return orbit_key(_label_sequence(lam, d))
+    c2 = integral(delta, "block keys require integral delta") - 2
+    return key_from_twice(c2, orbit_twice_key(c2, lam.transpose()))
 
 
 @dataclass(frozen=True)
@@ -87,18 +84,22 @@ class BlockClassification:
 def classify_weight_class(lam: Partition, delta) -> BlockClassification:
     """Single block when delta is odd or the transposed sequence has a zero
     entry; otherwise split, with the partner obtained by moving a tail entry
-    to the front with its sign flipped."""
+    to the front with its sign flipped.
+
+    In twice-units (c2 = delta - 2) the sequence of lam's transpose starts at
+    e1 = c2 + 2 - 2 len(lam), and the moved tail entry c2 + 2k is the first
+    one past the window (k > lam_1) with c2 + 2k > max(0, -e1).  The
+    partner's transpose is then (c2 + 1 + k, lam^t + 1, 1, ..., 1) with k
+    parts, so the partner is (k, lam + 1, 1, ..., 1) with c2 + k + 1 parts:
+    O(rows + output), read off lam without a scan."""
     d = integral(delta, "weight-class classification requires integral delta")
-    seq = _label_sequence(lam, d)
-    if d % 2 != 0 or seq.has_zero_entry():
+    c2 = d - 2
+    if d % 2 != 0 or sign_profile(c2, lam.transpose())[1]:
         return BlockClassification(split=False)
-    first = seq.entry(1)
-    k = seq.length + 1
-    while not (seq.entry(k) > 0 and -seq.entry(k) < first):
-        k += 1
-    window = [-seq.entry(k)] + [seq.entry(m) for m in range(1, k)]
-    partner_t = shape_from_entries(seq.charge, window)
-    return BlockClassification(split=True, partner=partner_t.transpose())
+    e1 = c2 + 2 - 2 * len(lam)
+    k = max(lam.part(1) + 1, (max(0, -e1) - c2) // 2 + 1)
+    partner = Partition([k, *(p + 1 for p in lam.parts)] + [1] * (c2 + k - len(lam)))
+    return BlockClassification(split=True, partner=partner)
 
 
 def enumerate_block_members(lam: Partition, delta, max_size: int) -> list[Partition]:
@@ -253,31 +254,37 @@ def dot_orbit_member(a: Partition, b: Partition, n: int, delta, *, allow_large: 
 
 
 def same_block_report(lam: Partition, mu: Partition, delta) -> dict:
-    """Decision plus the evidence the criterion inspected, for serialisation."""
+    """Decision plus the evidence the criterion inspected, for serialisation.
+
+    The evidence is read off the twice-keys of the transposes: the absolute
+    entries over the common window agree exactly when the deviations do,
+    and the parities are the raw negative-entry counts mod 2, reported even
+    when a zero entry makes the key's parity the wildcard."""
     d = Fraction(delta)
-    result: dict = {"same_block": same_block(lam, mu, d)}
     if d.denominator != 1:
-        result["block_key"] = None
-        result["reason"] = {
-            "semisimple": True,
-            "abs_multiset_equal": None,
-            "parity_lhs": None,
-            "parity_rhs": None,
-            "zero_entry": None,
+        return {
+            "same_block": lam == mu,
+            "block_key": None,
+            "reason": {
+                "semisimple": True,
+                "abs_multiset_equal": None,
+                "parity_lhs": None,
+                "parity_rhs": None,
+                "zero_entry": None,
+            },
         }
-        return result
-    s = _label_sequence(lam, d)
-    t = _label_sequence(mu, d)
-    w = max(s.length, t.length)
-    abs_equal = sorted(abs(s.entry(k)) for k in range(1, w + 1)) == sorted(
-        abs(t.entry(k)) for k in range(1, w + 1)
-    )
-    result["block_key"] = orbit_key(s).to_json()
-    result["reason"] = {
-        "semisimple": False,
-        "abs_multiset_equal": abs_equal,
-        "parity_lhs": s.negative_count() % 2,
-        "parity_rhs": t.negative_count() % 2,
-        "zero_entry": s.has_zero_entry(),
+    c2 = d.numerator - 2
+    s, t = lam.transpose(), mu.transpose()
+    key_s, key_t = orbit_twice_key(c2, s), orbit_twice_key(c2, t)
+    neg_s, zero_s = sign_profile(c2, s)
+    return {
+        "same_block": key_s == key_t,
+        "block_key": key_from_twice(c2, key_s).to_json(),
+        "reason": {
+            "semisimple": False,
+            "abs_multiset_equal": key_s[0] == key_t[0],
+            "parity_lhs": neg_s % 2,
+            "parity_rhs": sign_profile(c2, t)[0] % 2,
+            "zero_entry": zero_s,
+        },
     }
-    return result

@@ -52,6 +52,22 @@ def _half_arg(text: str) -> Fraction:
     return value
 
 
+# A label's transpose, and so every sequence window, has as many parts as the
+# label's first part; above this cap a label is refused rather than transposed.
+# block and classify-weight-class also read about |delta| entries, so they cap
+# |delta| as well.
+LABEL_CAP = 10**6
+
+
+def _require_capped(parser: argparse.ArgumentParser, args, *flags: str, delta: bool = False) -> None:
+    for flag in flags:
+        first = getattr(args, flag).part(1)
+        if first > LABEL_CAP:
+            parser.error(f"--{flag} has first part {first}, above the cap {LABEL_CAP}")
+    if delta and abs(args.delta) > LABEL_CAP:
+        parser.error(f"|--delta| is above the cap {LABEL_CAP}")
+
+
 def _require_integer(delta: Fraction, parser: argparse.ArgumentParser, what: str) -> int:
     if delta.denominator != 1:
         parser.error(f"--delta must be an integer for {what}")
@@ -206,6 +222,7 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
     fmt = args.format
 
     if args.command == "same-block":
+        _require_capped(parser, args, "lhs", "rhs")
         report = same_block_report(args.lhs, args.rhs, args.delta)
         payload = {
             "delta": str(args.delta),
@@ -218,6 +235,7 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
 
     if args.command == "block-key":
         d = _require_integer(args.delta, parser, "block keys")
+        _require_capped(parser, args, "partition")
         payload = {
             "delta": str(args.delta),
             "partition": _parts(args.partition),
@@ -230,11 +248,13 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
         if args.max_size < args.partition.size:
             parser.error("--max-size must be at least the size of --partition")
         _require_jobs(args, parser)
+        _require_capped(parser, args, "partition", delta=True)
         _emit(_run_block(args), fmt)
         return 0
 
     if args.command == "classify-weight-class":
         d = _require_integer(args.delta, parser, "weight-class classification")
+        _require_capped(parser, args, "partition", delta=True)
         cls = classify_weight_class(args.partition, d)
         payload = {
             "delta": str(args.delta),

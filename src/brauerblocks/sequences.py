@@ -7,22 +7,29 @@ A shape lambda and a charge d determine the sequence
 
 which strictly increases and equals d + k beyond the length of the shape;
 for fixed charge the map shape <-> sequence is a bijection.  Sequences are
-never stored as explicit lists: entry access is computed from (charge,
+never stored as explicit lists: a :class:`ChargedSequence` is (charge,
 shape), so storage is O(1) and exact.
 
 The group of permutations composed with an even number of sign changes
 acts entrywise.  Two sequences of equal charge lie in one orbit exactly
 when the multisets of absolute entries agree and either the parities of
 their negative-entry counts agree or a zero entry is present (a zero
-absorbs a sign change, leaving the parity unconstrained).  The canonical
-:class:`OrbitKey` packages this decision: the deviation of the absolute
-entries from the same-charge vacuum, plus a parity tag with a wildcard for
-the zero-entry case.
+absorbs a sign change, leaving the parity unconstrained).
+
+Every invariant is computed in integer twice-units: with c2 = 2d, twice
+the k-th entry is c2 + 2(k - lambda_k).  :func:`orbit_twice_key` is the
+one implementation of the orbit rule, the deviation of the absolute
+entries from the same-charge vacuum plus a parity tag with a wildcard for
+the zero-entry case; :func:`same_orbit` compares these keys, and the
+reflection-descent oracle in ``blocks`` checks them independently.
+:func:`sign_profile` counts negative entries and finds a zero entry while
+the entries stay nonpositive, so it costs O(negative entries).  Fractions
+appear only at the public edge: :meth:`ChargedSequence.entry`, the
+:class:`OrbitKey` and :func:`shape_from_entries`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,25 +52,11 @@ class ChargedSequence:
         """Window length; entries agree with the vacuum beyond it."""
         return len(self.shape)
 
-    def window(self) -> list[Fraction]:
-        return [self.entry(k) for k in range(1, self.length + 1)]
-
     def has_zero_entry(self) -> bool:
-        if any(self.entry(k) == 0 for k in range(1, self.length + 1)):
-            return True
-        # tail entry charge + k vanishes at k = -charge when that is an
-        # integer beyond the window
-        pos = -self.charge
-        return pos.denominator == 1 and pos.numerator >= self.length + 1
+        return sign_profile(twice(self.charge), self.shape)[1]
 
     def negative_count(self) -> int:
-        count = sum(1 for k in range(1, self.length + 1) if self.entry(k) < 0)
-        # tail entries charge + k are negative for k < -charge
-        kmax = math.floor(-self.charge)
-        if kmax == -self.charge:
-            kmax -= 1
-        count += max(0, kmax - self.length)
-        return count
+        return sign_profile(twice(self.charge), self.shape)[0]
 
 
 def make_sequence(shape: Partition, charge) -> ChargedSequence:
@@ -106,13 +99,36 @@ class OrbitKey:
         }
 
 
+def _tail_signs(c2: int, length: int) -> tuple[int, bool]:
+    # the tail entries c2 + 2k (k > length) are negative below k = -c2/2 and
+    # vanish at it: (how many are negative, whether one vanishes)
+    return max(0, (-c2 - 1) // 2 - length), c2 % 2 == 0 and -c2 >= 2 * length + 2
+
+
+def sign_profile(c2: int, shape: Partition) -> tuple[int, bool]:
+    """(number of negative entries, whether an entry vanishes) of the
+    sequence of `shape` at charge c2/2.  Twice the k-th entry is
+    c2 + 2(k - part_k); the entries increase, so the scan stops at the
+    first nonnegative one."""
+    negatives = 0
+    zero = False
+    for k, part in enumerate(shape.parts, 1):
+        v = c2 + 2 * (k - part)
+        if v >= 0:
+            zero = v == 0
+            break
+        negatives += 1
+    tail_negatives, tail_zero = _tail_signs(c2, len(shape))
+    return negatives + tail_negatives, zero or tail_zero
+
+
 def orbit_twice_key(c2: int, shape: Partition) -> tuple:
     """The orbit invariant of the sequence of `shape` at charge c2/2, in
     twice-units: (deviations, parity).  Deviations are the sorted pairs
-    (twice the absolute value, count) of the window's absolute entries
-    against the vacuum; parity is the negative-entry count mod 2, or
-    WILDCARD when an entry vanishes.  Two sequences of one charge have
-    equal twice-keys exactly when their OrbitKeys are equal."""
+    (twice the absolute value, count) by which the window's absolute
+    entries deviate from the vacuum's; parity is the negative-entry count
+    mod 2, or WILDCARD when an entry vanishes.  Two sequences of one charge
+    lie in one orbit exactly when their twice-keys are equal."""
     dev: dict[int, int] = {}
     negatives = 0
     zero = False
@@ -126,39 +142,28 @@ def orbit_twice_key(c2: int, shape: Partition) -> tuple:
         dev[v] = dev.get(v, 0) + 1
         w = abs(c2 + 2 * k)
         dev[w] = dev.get(w, 0) - 1
-    deviations = tuple(sorted((v, c) for v, c in dev.items() if c))
-    length = len(shape)
-    # tail entries c2 + 2k (k > length) vanish at k = -c2/2 and are negative below it
-    if zero or (c2 % 2 == 0 and -c2 >= 2 * length + 2):
-        return deviations, WILDCARD
-    negatives += max(0, (-c2 - 1) // 2 - length)
-    return deviations, negatives % 2
+    tail_negatives, tail_zero = _tail_signs(c2, len(shape))
+    parity = WILDCARD if zero or tail_zero else (negatives + tail_negatives) % 2
+    return tuple(sorted((v, c) for v, c in dev.items() if c)), parity
+
+
+def key_from_twice(c2: int, twice_key: tuple) -> OrbitKey:
+    """The :class:`OrbitKey` of a twice-key at charge c2/2."""
+    deviations, parity = twice_key
+    return OrbitKey(half(c2), tuple((half(v), c) for v, c in deviations), parity)
 
 
 def orbit_key(seq: ChargedSequence) -> OrbitKey:
     """Deviation multiset over the window, against the vacuum; beyond the
     window the two sequences coincide entry by entry.  Computed on
     :func:`orbit_twice_key`, with Fractions only in the returned key."""
-    deviations, parity = orbit_twice_key(twice(seq.charge), seq.shape)
-    return OrbitKey(seq.charge, tuple((half(v), c) for v, c in deviations), parity)
+    c2 = twice(seq.charge)
+    return key_from_twice(c2, orbit_twice_key(c2, seq.shape))
 
 
 def same_orbit(s: ChargedSequence, t: ChargedSequence) -> bool:
-    """Whether t is an even-signed permutation of s.
-
-    Decided directly from the entries (not via orbit keys): compare the
-    absolute-entry multisets over the common window, then the negative
-    parities unless a zero entry makes the parity free.
-    """
+    """Whether t is an even-signed permutation of s: their twice-keys agree."""
     if s.charge != t.charge:
         raise ValueError("orbits compare only within one sector")
-    w = max(s.length, t.length)
-    sa = sorted(abs(s.entry(k)) for k in range(1, w + 1))
-    ta = sorted(abs(t.entry(k)) for k in range(1, w + 1))
-    if sa != ta:
-        return False
-    if s.has_zero_entry():
-        return True
-    ps = sum(1 for k in range(1, w + 1) if s.entry(k) < 0) % 2
-    pt = sum(1 for k in range(1, w + 1) if t.entry(k) < 0) % 2
-    return ps == pt
+    c2 = twice(s.charge)
+    return orbit_twice_key(c2, s.shape) == orbit_twice_key(c2, t.shape)

@@ -97,6 +97,13 @@ def check_witness_pair() -> CheckResult:
 def _orbit_mismatch(delta: int, size_cap: int) -> str | None:
     charge = sector_charge(delta)
     parts = enumerate_partitions(size_cap)
+    dominant: dict[tuple[Partition, int], tuple[int, ...]] = {}
+
+    def descend(p: Partition, n: int) -> tuple[int, ...]:
+        if (p, n) not in dominant:
+            dominant[p, n] = dot_dominant(p, n, delta)
+        return dominant[p, n]
+
     for a in parts:
         partners = [
             b
@@ -110,7 +117,7 @@ def _orbit_mismatch(delta: int, size_cap: int) -> str | None:
             for b in buckets[n0]:
                 expected = same_orbit(make_sequence(a, charge), make_sequence(b, charge))
                 for n in (n0, n0 + 2):
-                    got = dot_dominant(a, n, delta) == dot_dominant(b, n, delta)
+                    got = descend(a, n) == descend(b, n)
                     if got != expected:
                         return (
                             f"a={list(a.parts)} b={list(b.parts)} n={n} delta={delta}: "

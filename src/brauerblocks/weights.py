@@ -12,12 +12,16 @@ Two alpha-parts represent the same class modulo the sublattice spanned by
 alpha_i + alpha_{-i} (i > 0), together with 2*alpha_0 when the index 0
 occurs (delta odd), exactly when their :class:`SymWeight` reductions agree:
 the reduction keeps r_i = v(i) - v(-i) for i > 0 plus the parity of v(0).
+:func:`same_bar_weight` applies that reduction to the difference of two
+content counts on integer twice-indices, without building either dict,
+in O(rows + width + length) per label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .partitions import Partition, integral, twice
 
@@ -29,25 +33,27 @@ def _check_index(key, delta: int) -> None:
         )
 
 
-def weight_alpha_part(lam: Partition, delta) -> dict[Fraction, int]:
-    """Box count per shifted content; the weight of lam is the shared
-    fundamental weight minus sum coeffs[i] * alpha_i.
+def _content_counts(lam: Partition) -> tuple[int, list[int]]:
+    """(lo, counts): counts[i] boxes of content lo + i, for every content
+    from lo = 1 - length to width - 1.
 
-    Row i covers the unshifted contents 1 - i .. lam_i - i, so a difference
-    array over the range 1 - length .. width - 1 counts every content in
-    O(rows + width + length); keys come out in increasing order."""
-    d = integral(delta, "weights require integral delta")
+    Row i covers the contents 1 - i .. lam_i - i, so a difference array
+    counts every content in O(rows + width + length)."""
     lo = 1 - len(lam)
     diff = [0] * (lam.part(1) - lo + 1)
     for i, part in enumerate(lam.parts, 1):
         diff[1 - i - lo] += 1
         diff[part - i + 1 - lo] -= 1
-    out: dict[Fraction, int] = {}
-    count = 0
-    for k, step in enumerate(diff[:-1], lo):
-        count += step
-        out[Fraction(d - 1 + 2 * k, 2)] = count
-    return out
+    return lo, list(accumulate(diff[:-1]))
+
+
+def weight_alpha_part(lam: Partition, delta) -> dict[Fraction, int]:
+    """Box count per shifted content; the weight of lam is the shared
+    fundamental weight minus sum coeffs[i] * alpha_i.  Keys come out in
+    increasing order."""
+    d = integral(delta, "weights require integral delta")
+    lo, counts = _content_counts(lam)
+    return {Fraction(d - 1 + 2 * k, 2): c for k, c in enumerate(counts, lo)}
 
 
 def vector_sum(u: dict, v: dict) -> dict:
@@ -97,9 +103,26 @@ def reduce_mod_qtheta(v: dict, delta) -> SymWeight:
 
 
 def same_bar_weight(lam: Partition, mu: Partition, delta) -> bool:
-    """Whether the weights of lam and mu agree modulo the symmetrised sublattice."""
-    diff = vector_diff(weight_alpha_part(lam, delta), weight_alpha_part(mu, delta))
-    return reduce_mod_qtheta(diff, delta).is_zero
+    """Whether the weights of lam and mu agree modulo the symmetrised sublattice.
+
+    The signed difference of the two content counts is reduced on integer
+    twice-indices t = delta - 1 + 2 * content: pos[|t|] gains the count at
+    t > 0 and loses it at t < 0, and index 0 (odd delta only) keeps its
+    parity, as in :func:`reduce_mod_qtheta`."""
+    d = integral(delta, "weights require integral delta")
+    pos: dict[int, int] = {}
+    zero = 0
+    for sign, label in ((1, lam), (-1, mu)):
+        lo, counts = _content_counts(label)
+        for k, c in enumerate(counts, lo):
+            t = d - 1 + 2 * k
+            if t > 0:
+                pos[t] = pos.get(t, 0) + sign * c
+            elif t < 0:
+                pos[-t] = pos.get(-t, 0) - sign * c
+            else:
+                zero += sign * c
+    return zero % 2 == 0 and not any(pos.values())
 
 
 def alpha_in_omega(i) -> dict[Fraction, int]:

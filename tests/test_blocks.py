@@ -19,7 +19,7 @@ from brauerblocks.blocks import (
     sector_charge,
 )
 from brauerblocks.partitions import Partition, enumerate_partitions, partitions_of_size
-from brauerblocks.sequences import WILDCARD, make_sequence, same_orbit
+from brauerblocks.sequences import WILDCARD, make_sequence, same_orbit, shape_from_entries
 from brauerblocks.weights import same_bar_weight
 
 EMPTY = Partition()
@@ -100,6 +100,39 @@ def test_classify_partner_postconditions():
             if cls.split:
                 assert same_bar_weight(lam, cls.partner, delta)
                 assert not same_block(lam, cls.partner, delta)
+
+
+def _tail_walk_classify(lam: Partition, delta):
+    # the split rule read entry by entry in Fractions: walk the tail until an
+    # entry whose negative fits before the first entry, move it to the front
+    # with its sign flipped, and read the shape back from the entries
+    seq = make_sequence(lam.transpose(), sector_charge(delta))
+    window_zero = any(seq.entry(k) == 0 for k in range(1, seq.length + 1))
+    pos = -seq.charge
+    tail_zero = pos.denominator == 1 and pos.numerator >= seq.length + 1
+    if delta % 2 != 0 or window_zero or tail_zero:
+        return False, None
+    first = seq.entry(1)
+    k = seq.length + 1
+    while not (seq.entry(k) > 0 and -seq.entry(k) < first):
+        k += 1
+    window = [-seq.entry(k)] + [seq.entry(m) for m in range(1, k)]
+    return True, shape_from_entries(seq.charge, window).transpose()
+
+
+def test_classify_equals_the_tail_walk():
+    for delta in range(-8, 11):
+        for lam in enumerate_partitions(12):
+            cls = classify_weight_class(lam, delta)
+            assert (cls.split, cls.partner) == _tail_walk_classify(lam, delta), (lam, delta)
+    # hook, row, column and rectangle labels of 10**4 boxes
+    n = 10**4
+    big = [Partition([n // 2] + [1] * (n // 2)), Partition([n]), Partition([1] * n)]
+    big += [Partition([100] * 100), Partition([50] * 200)]
+    for delta in (-6, -2, 0, 2, 4, 8):
+        for lam in big:
+            cls = classify_weight_class(lam, delta)
+            assert (cls.split, cls.partner) == _tail_walk_classify(lam, delta), (lam.parts[:3], delta)
 
 
 def test_enumerate_block_members_examples():

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from brauerblocks import cli
 from brauerblocks.cli import main
 
 
@@ -219,3 +221,37 @@ def test_empty_delta_range_and_bad_jobs_exit_2(capsys):
 def test_dot_orbit_negative_rank_exits_2(capsys):
     message = _usage_error(capsys, "dot-orbit", "--delta", "2", "--lhs", "", "--rhs", "", "--n", "-1")
     assert message.endswith("--n must be nonnegative")
+
+
+def test_label_above_the_cap_exits_2_at_once(capsys):
+    started = time.perf_counter()
+    message = _usage_error(capsys, "classify-weight-class", "--delta", "2", "--partition", "99999999999")
+    assert time.perf_counter() - started < 1
+    assert message.endswith(f"--partition has first part 99999999999, above the cap {cli.LABEL_CAP}")
+    big = str(cli.LABEL_CAP + 1)
+    for argv in (
+        ("same-block", "--delta", "2", "--lhs", "1", "--rhs", big),
+        ("same-block", "--delta", "2", "--lhs", big, "--rhs", "1"),
+        ("block-key", "--delta", "2", "--partition", big),
+        ("block", "--delta", "2", "--partition", big, "--max-size", big),
+    ):
+        assert "above the cap" in _usage_error(capsys, *argv)
+
+
+def test_cap_bounds_first_parts_and_delta(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "LABEL_CAP", 10)
+    code, payload = run_json(capsys, "classify-weight-class", "--delta", "10", "--partition", "10,1")
+    assert code == 0 and payload["classification"] == "split"
+    code, payload = run_json(capsys, "block", "--delta", "-10", "--partition", "10", "--max-size", "12")
+    assert code == 0 and [10] in payload["members"]
+    assert "--partition has first part 11" in _usage_error(
+        capsys, "classify-weight-class", "--delta", "2", "--partition", "11"
+    )
+    for command in ("classify-weight-class", "block"):
+        extra = ("--max-size", "2") if command == "block" else ()
+        for delta in ("12", "-11"):
+            message = _usage_error(capsys, command, "--delta", delta, "--partition", "", *extra)
+            assert message.endswith("|--delta| is above the cap 10")
+    # central-char reads rows only and stays uncapped
+    code, payload = run_json(capsys, "central-char", "--delta", "2", "--partition", "99999999999")
+    assert code == 0

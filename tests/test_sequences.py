@@ -1,4 +1,6 @@
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from brauerblocks.sequences import (
     orbit_twice_key,
     same_orbit,
     shape_from_entries,
+    sign_profile,
 )
 from brauerblocks.weights import reduce_mod_qtheta, weight_alpha_part
 
@@ -74,15 +77,44 @@ def test_same_orbit_requires_one_sector():
         same_orbit(make_sequence(Partition(), 0), make_sequence(Partition(), 1))
 
 
-def test_orbit_key_equality_decides_orbits():
-    # keys and the direct decision are independent computations
-    for delta in range(-4, 7):
-        charge = Fraction(delta, 2) - 1
-        seqs = [make_sequence(lam, charge) for lam in enumerate_partitions(10)]
-        keys = [orbit_key(s) for s in seqs]
-        for i, s in enumerate(seqs):
-            for j in range(i, len(seqs)):
-                assert same_orbit(s, seqs[j]) == (keys[i] == keys[j])
+def _per_entry_zero(seq) -> bool:
+    # a zero entry, read entry by entry in Fractions
+    if any(seq.entry(k) == 0 for k in range(1, seq.length + 1)):
+        return True
+    pos = -seq.charge
+    return pos.denominator == 1 and pos.numerator >= seq.length + 1
+
+
+def _per_entry_negatives(seq) -> int:
+    # the negative entries, read entry by entry in Fractions
+    count = sum(1 for k in range(1, seq.length + 1) if seq.entry(k) < 0)
+    kmax = math.floor(-seq.charge)
+    if kmax == -seq.charge:
+        kmax -= 1
+    return count + max(0, kmax - seq.length)
+
+
+@lru_cache(maxsize=None)
+def _abs_window(seq, w: int) -> list:
+    return sorted(abs(seq.entry(k)) for k in range(1, w + 1))
+
+
+@lru_cache(maxsize=None)
+def _window_parity(seq, w: int) -> int:
+    return sum(1 for k in range(1, w + 1) if seq.entry(k) < 0) % 2
+
+
+def _per_entry_same_orbit(s, t) -> bool:
+    # the orbit rule read entry by entry in Fractions, independent of any key:
+    # the absolute-entry multisets over the common window, then the negative
+    # parities unless a zero entry makes the parity free (the readings of one
+    # sequence are cached per window)
+    w = max(s.length, t.length)
+    if _abs_window(s, w) != _abs_window(t, w):
+        return False
+    if _per_entry_zero(s):
+        return True
+    return _window_parity(s, w) == _window_parity(t, w)
 
 
 def _per_entry_orbit_key(seq):
@@ -92,8 +124,31 @@ def _per_entry_orbit_key(seq):
         v, w = abs(seq.entry(k)), abs(seq.charge + k)
         dev[v] = dev.get(v, 0) + 1
         dev[w] = dev.get(w, 0) - 1
-    parity = WILDCARD if seq.has_zero_entry() else seq.negative_count() % 2
+    parity = WILDCARD if _per_entry_zero(seq) else _per_entry_negatives(seq) % 2
     return OrbitKey(seq.charge, tuple(sorted((v, c) for v, c in dev.items() if c)), parity)
+
+
+def test_sign_profile_equals_per_entry_reading():
+    for delta in range(-12, 9):
+        charge = Fraction(delta, 2) - 1
+        for lam in enumerate_partitions(10):
+            s = make_sequence(lam, charge)
+            assert sign_profile(delta - 2, lam) == (_per_entry_negatives(s), _per_entry_zero(s))
+            assert (s.negative_count(), s.has_zero_entry()) == sign_profile(delta - 2, lam)
+
+
+def test_orbit_key_equality_decides_orbits():
+    # same_orbit compares twice-keys; the reference decides from the entries
+    parts = enumerate_partitions(10)
+    for delta in range(-6, 9):
+        charge = Fraction(delta, 2) - 1
+        seqs = [make_sequence(lam, charge) for lam in parts]
+        keys = [orbit_key(s) for s in seqs]
+        for i, s in enumerate(seqs):
+            for j in range(i, len(seqs)):
+                expected = _per_entry_same_orbit(s, seqs[j])
+                assert same_orbit(s, seqs[j]) == expected, (parts[i], parts[j], delta)
+                assert (keys[i] == keys[j]) == expected
 
 
 def test_twice_key_equality_equals_orbit_key_equality():

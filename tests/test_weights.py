@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brauerblocks.blocks import classify_weight_class
 from brauerblocks.partitions import Partition, enumerate_partitions
 from brauerblocks.weights import (
     SymWeight,
@@ -78,6 +79,36 @@ def test_same_bar_weight_examples():
     assert same_bar_weight(Partition(), Partition((1, 1)), 2)
     assert not same_bar_weight(Partition((2, 2)), Partition((2, 1)), 1)
     assert same_bar_weight(Partition((3, 1)), Partition((3, 1)), -2)
+
+
+def _reduced_difference_is_zero(alpha_lam, alpha_mu, delta) -> bool:
+    return reduce_mod_qtheta(vector_diff(alpha_lam, alpha_mu), delta).is_zero
+
+
+def test_same_bar_weight_equals_the_reduction():
+    parts = enumerate_partitions(9)
+    for delta in range(-6, 9):
+        alpha = {lam: weight_alpha_part(lam, delta) for lam in parts}
+        for i, lam in enumerate(parts):
+            for mu in parts[i:]:
+                expected = _reduced_difference_is_zero(alpha[lam], alpha[mu], delta)
+                assert same_bar_weight(lam, mu, delta) == expected, (lam, mu, delta)
+    # a few 10**4-box pairs: unrelated labels, and split partners, which share the bar-weight
+    n = 10**4
+    hook, row, column = Partition([n // 2] + [1] * (n // 2)), Partition([n]), Partition([1] * n)
+    square = Partition([100] * 100)
+    pairs = [
+        (hook, row, 1),
+        (row, column, 2),
+        (column, classify_weight_class(column, 2).partner, 2),
+        (square, classify_weight_class(square, 0).partner, 0),
+    ]
+    for lam, mu, delta in pairs:
+        expected = _reduced_difference_is_zero(
+            weight_alpha_part(lam, delta), weight_alpha_part(mu, delta), delta
+        )
+        assert same_bar_weight(lam, mu, delta) == expected
+        assert expected == (mu.size > n)
 
 
 def test_alpha_in_omega_examples():
