@@ -7,13 +7,16 @@ lie in the same block exactly when the charged sequences of their
 permutation group; for non-integral delta the category is semisimple and
 every block is a single label.
 
-The point queries work in integer twice-units on the transpose, with
-c2 = delta - 2, and build Fractions only for a returned OrbitKey.  For a
-label with r rows and w columns, same_block, block_key and
-same_block_report cost O(r + w log w): they read the twice-keys of
-sequences.orbit_twice_key, the one coding of the orbit rule, which the
-descent oracle below checks.  classify_weight_class costs O(r + w + output):
-it writes the partner in closed form.
+The point queries work in integer twice-units, with c2 = delta - 2, and
+build Fractions only for a returned OrbitKey.  They never build a
+transpose: sequences.transpose_profile, the one coding of the orbit rule,
+which the descent oracle below checks, reads the twice-key, negative count
+and zero flag of the transpose's sequence off the label's runs of equal
+rows.  For a label with r rows, same_block, block_key and
+same_block_report cost O(runs * log r + sum over runs of min(part, run
+length)); classify_weight_class costs that plus its output, the partner
+it writes in closed form.  brauer_algebra_blocks keys each generated part
+tuple the same way.
 
 Label conventions: the public operations (same_block, block_key,
 classify_weight_class, enumerate_block_members, brauer_algebra_blocks)
@@ -38,8 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import Partition, canonical_key, integral, partitions_of_size
-from .sequences import OrbitKey, key_from_twice, orbit_twice_key, sign_profile
+from .partitions import Partition, canonical_key, descending_partitions, integral
+from .sequences import OrbitKey, key_from_twice, transpose_profile
 
 BFS_RANK_CAP = 8
 
@@ -62,13 +65,13 @@ def same_block(lam: Partition, mu: Partition, delta) -> bool:
     if (lam.size - mu.size) % 2 != 0:
         return False
     c2 = d.numerator - 2
-    return orbit_twice_key(c2, lam.transpose()) == orbit_twice_key(c2, mu.transpose())
+    return transpose_profile(c2, lam.parts)[0] == transpose_profile(c2, mu.parts)[0]
 
 
 def block_key(lam: Partition, delta) -> OrbitKey:
     """Canonical key with block_key(lam) == block_key(mu) iff same block."""
     c2 = integral(delta, "block keys require integral delta") - 2
-    return key_from_twice(c2, orbit_twice_key(c2, lam.transpose()))
+    return key_from_twice(c2, transpose_profile(c2, lam.parts)[0])
 
 
 @dataclass(frozen=True)
@@ -90,11 +93,12 @@ def classify_weight_class(lam: Partition, delta) -> BlockClassification:
     e1 = c2 + 2 - 2 len(lam), and the moved tail entry c2 + 2k is the first
     one past the window (k > lam_1) with c2 + 2k > max(0, -e1).  The
     partner's transpose is then (c2 + 1 + k, lam^t + 1, 1, ..., 1) with k
-    parts, so the partner is (k, lam + 1, 1, ..., 1) with c2 + k + 1 parts:
-    O(rows + output), read off lam without a scan."""
+    parts, so the partner is (k, lam + 1, 1, ..., 1) with c2 + k + 1 parts,
+    read off lam without a scan; the zero test is the zero flag of
+    transpose_profile."""
     d = integral(delta, "weight-class classification requires integral delta")
     c2 = d - 2
-    if d % 2 != 0 or sign_profile(c2, lam.transpose())[1]:
+    if d % 2 != 0 or transpose_profile(c2, lam.parts)[2]:
         return BlockClassification(split=False)
     e1 = c2 + 2 - 2 * len(lam)
     k = max(lam.part(1) + 1, (max(0, -e1) - c2) // 2 + 1)
@@ -160,15 +164,16 @@ def enumerate_block_members(lam: Partition, delta, max_size: int) -> list[Partit
 def brauer_algebra_blocks(n: int, delta) -> list[list[Partition]]:
     """Blocks of the rank-n Brauer algebra: the labels of sizes n, n-2, ...
     partitioned by the block relation, in canonical order.  Labels are
-    grouped on the integer orbit key of their transposes; groups keep the
+    grouped on the integer orbit key of their transposes, read off each
+    generated part tuple before its Partition is built; groups keep the
     order in which they are first met."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     c2 = integral(delta, "Brauer-algebra blocks require integral delta") - 2
     groups: dict[tuple, list[Partition]] = {}
     for m in range(n % 2, n + 1, 2):
-        for p in partitions_of_size(m):
-            groups.setdefault(orbit_twice_key(c2, p.transpose()), []).append(p)
+        for parts in descending_partitions(m):
+            groups.setdefault(transpose_profile(c2, parts)[0], []).append(Partition(parts))
     return list(groups.values())
 
 
@@ -274,9 +279,8 @@ def same_block_report(lam: Partition, mu: Partition, delta) -> dict:
             },
         }
     c2 = d.numerator - 2
-    s, t = lam.transpose(), mu.transpose()
-    key_s, key_t = orbit_twice_key(c2, s), orbit_twice_key(c2, t)
-    neg_s, zero_s = sign_profile(c2, s)
+    key_s, neg_s, zero_s = transpose_profile(c2, lam.parts)
+    key_t, neg_t, _ = transpose_profile(c2, mu.parts)
     return {
         "same_block": key_s == key_t,
         "block_key": key_from_twice(c2, key_s).to_json(),
@@ -284,7 +288,7 @@ def same_block_report(lam: Partition, mu: Partition, delta) -> dict:
             "semisimple": False,
             "abs_multiset_equal": key_s[0] == key_t[0],
             "parity_lhs": neg_s % 2,
-            "parity_rhs": sign_profile(c2, t)[0] % 2,
+            "parity_rhs": neg_t % 2,
             "zero_entry": zero_s,
         },
     }

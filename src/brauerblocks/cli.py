@@ -52,10 +52,13 @@ def _half_arg(text: str) -> Fraction:
     return value
 
 
-# A label's transpose, and so every sequence window, has as many parts as the
-# label's first part; above this cap a label is refused rather than transposed.
-# block and classify-weight-class also read about |delta| entries, so they cap
-# |delta| as well.
+# block builds the transposes of a block's members, and the partner written by
+# classify-weight-class has more parts than the label's first part, so both
+# build about that many parts; above this cap a label is refused.  same-block
+# and block-key read keys off a label's rows and keep the cap only so that the
+# four label commands share one input contract.  block and
+# classify-weight-class also read about |delta| entries, so they cap |delta| as
+# well.
 LABEL_CAP = 10**6
 
 

@@ -15,6 +15,7 @@ twice-values (integers) via :func:`twice` and :func:`half`.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import ge
 
 HALF = Fraction(1, 2)
 
@@ -44,16 +45,25 @@ def integral(value, message: str) -> int:
     return q.numerator
 
 
+def root_index(value, delta: int, message: str) -> Fraction:
+    """value as a Fraction, when twice(value) has the parity of delta - 1;
+    raises ValueError(message.format(index=value, delta=delta)) otherwise."""
+    x = Fraction(value)
+    if (twice(x) - delta) % 2 == 0:
+        raise ValueError(message.format(index=value, delta=delta))
+    return x
+
+
 class Partition:
     """Immutable weakly decreasing sequence of positive integers."""
 
     __slots__ = ("parts", "size")
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts)
-        for a, b in zip(parts, parts[1:]):
-            if b > a:
-                raise PartitionError(f"not weakly decreasing: {a} before {b}")
+        parts = tuple(map(int, parts))
+        if not all(map(ge, parts, parts[1:])):
+            a, b = next((a, b) for a, b in zip(parts, parts[1:]) if b > a)
+            raise PartitionError(f"not weakly decreasing: {a} before {b}")
         if parts and parts[-1] <= 0:
             raise PartitionError("partition entries must be positive")
         object.__setattr__(self, "parts", parts)
@@ -137,26 +147,37 @@ def parse_partition(text: str) -> Partition:
         if value <= 0:
             raise PartitionError(f"partition entries must be positive, got {tok!r}")
         parts.append(value)
-    for a, b in zip(parts, parts[1:]):
-        if b > a:
-            raise PartitionError(f"not weakly decreasing: {a} before {b}")
     return Partition(parts)
 
 
-def _descending(n: int, max_part: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _descending(n - first, first):
-            yield (first,) + rest
+def descending_partitions(n: int):
+    """Yield the partitions of n as tuples, lexicographically descending.
+
+    From each partition the next pops the trailing 1s, lowers the last
+    part p > 1 to q = p - 1, and refills the popped total plus one with
+    parts q and a smaller remainder; no recursion and no tuple
+    concatenation."""
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+    parts = [n] if n else []
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        q = parts.pop() - 1
+        full, rest = divmod(ones + q + 1, q)
+        parts.extend([q] * full)
+        if rest:
+            parts.append(rest)
 
 
 def partitions_of_size(n: int) -> list[Partition]:
     """All partitions of exactly n, lexicographically descending."""
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    return [Partition(p) for p in _descending(n, n)]
+    return [Partition(p) for p in descending_partitions(n)]
 
 
 def enumerate_partitions(max_size: int) -> list[Partition]:

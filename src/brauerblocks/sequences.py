@@ -17,21 +17,27 @@ their negative-entry counts agree or a zero entry is present (a zero
 absorbs a sign change, leaving the parity unconstrained).
 
 Every invariant is computed in integer twice-units: with c2 = 2d, twice
-the k-th entry is c2 + 2(k - lambda_k).  :func:`orbit_twice_key` is the
+the k-th entry is c2 + 2(k - lambda_k).  :func:`transpose_profile` is the
 one implementation of the orbit rule, the deviation of the absolute
 entries from the same-charge vacuum plus a parity tag with a wildcard for
-the zero-entry case; :func:`same_orbit` compares these keys, and the
-reflection-descent oracle in ``blocks`` checks them independently.
-:func:`sign_profile` counts negative entries and finds a zero entry while
-the entries stay nonpositive, so it costs O(negative entries).  Fractions
-appear only at the public edge: :meth:`ChargedSequence.entry`, the
-:class:`OrbitKey` and :func:`shape_from_entries`.
+the zero-entry case, together with the negative-entry count and the zero
+flag.  It takes the *transpose* of the shape, the module label of the
+block layer, and reads the sequence off that label's runs of equal rows,
+for a label with r rows in O(runs * log r + sum over runs of
+min(part, run length)).  :func:`orbit_twice_key`, :func:`sign_profile`,
+:func:`same_orbit` and :meth:`ChargedSequence.negative_count` call it on
+the shape's transpose, and the reflection-descent oracle in ``blocks``
+checks it independently.  Fractions appear only at the public edge:
+:meth:`ChargedSequence.entry`, the :class:`OrbitKey` and
+:func:`shape_from_entries`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 
 from .partitions import Partition, half, twice
 
@@ -99,52 +105,64 @@ class OrbitKey:
         }
 
 
-def _tail_signs(c2: int, length: int) -> tuple[int, bool]:
-    # the tail entries c2 + 2k (k > length) are negative below k = -c2/2 and
-    # vanish at it: (how many are negative, whether one vanishes)
-    return max(0, (-c2 - 1) // 2 - length), c2 % 2 == 0 and -c2 >= 2 * length + 2
+def transpose_profile(c2: int, parts: tuple[int, ...]) -> tuple[tuple, int, bool]:
+    """(twice-key, negative count, zero flag) of the sequence of the
+    *transpose* of the partition `parts`, at charge c2/2, read off the rows
+    of `parts` without building the transpose.
+
+    The twice-key is (deviations, parity): the sorted pairs (twice the
+    absolute value, count) by which the absolute entries deviate from the
+    vacuum's, and the negative-entry count mod 2, or WILDCARD when an entry
+    vanishes.  Two sequences of one charge lie in one orbit exactly when
+    their twice-keys are equal.
+
+    By the Maya-diagram complement identity (Macdonald, Symmetric Functions
+    and Hall Polynomials, I.(1.7)), {parts_i - i} and {j - 1 - transpose_j}
+    partition Z, so twice the entries of the transpose's sequence are
+    c2 + 2 + 2x for x >= -len(parts) with x no parts_i - i, and the
+    vacuum's are those with x >= 0.  Row i thus adds the absolute value at
+    x = -i and removes the one at x = parts_i - i.  Over a run of r rows
+    equal to p the two progressions overlap except for min(p, r) values at
+    each end, and the run's negative entries and zero are counted in O(1);
+    so the cost is O(runs * log(rows) + sum of min(p, r))."""
+    dev: dict[int, int] = {}
+    length = len(parts)
+    h = c2 + 2  # twice the entry at x is h + 2x
+    t = -(h // 2)  # the entry at x is negative exactly when x < t
+    zero = h % 2 == 0 and t >= -length  # the entry at x = t vanishes
+    removed_negatives = 0
+    a = 0
+    while a < length:
+        p = parts[a]
+        b = bisect_right(parts, -p, a + 1, key=neg)  # the run is rows a+1..b
+        m = p if p < b - a else b - a
+        added, removed = h - 2 * b, h + 2 * (p - a - 1)
+        for j in range(0, 2 * m, 2):
+            v = abs(added + j)
+            dev[v] = dev.get(v, 0) + 1
+            v = abs(removed - j)
+            dev[v] = dev.get(v, 0) - 1
+        s = p - t  # row s removes x = t; rows below it remove x < t
+        if s <= b:
+            removed_negatives += b - (s if s > a else a)
+            if s > a:
+                zero = False
+        a = b
+    negatives = max(0, t + length) - removed_negatives
+    parity = WILDCARD if zero else negatives % 2
+    return (tuple(sorted((v, c) for v, c in dev.items() if c)), parity), negatives, zero
 
 
 def sign_profile(c2: int, shape: Partition) -> tuple[int, bool]:
     """(number of negative entries, whether an entry vanishes) of the
-    sequence of `shape` at charge c2/2.  Twice the k-th entry is
-    c2 + 2(k - part_k); the entries increase, so the scan stops at the
-    first nonnegative one."""
-    negatives = 0
-    zero = False
-    for k, part in enumerate(shape.parts, 1):
-        v = c2 + 2 * (k - part)
-        if v >= 0:
-            zero = v == 0
-            break
-        negatives += 1
-    tail_negatives, tail_zero = _tail_signs(c2, len(shape))
-    return negatives + tail_negatives, zero or tail_zero
+    sequence of `shape` at charge c2/2."""
+    return transpose_profile(c2, shape.transpose().parts)[1:]
 
 
 def orbit_twice_key(c2: int, shape: Partition) -> tuple:
     """The orbit invariant of the sequence of `shape` at charge c2/2, in
-    twice-units: (deviations, parity).  Deviations are the sorted pairs
-    (twice the absolute value, count) by which the window's absolute
-    entries deviate from the vacuum's; parity is the negative-entry count
-    mod 2, or WILDCARD when an entry vanishes.  Two sequences of one charge
-    lie in one orbit exactly when their twice-keys are equal."""
-    dev: dict[int, int] = {}
-    negatives = 0
-    zero = False
-    for k, part in enumerate(shape.parts, 1):
-        v = c2 + 2 * (k - part)
-        if v < 0:
-            negatives += 1
-            v = -v
-        elif v == 0:
-            zero = True
-        dev[v] = dev.get(v, 0) + 1
-        w = abs(c2 + 2 * k)
-        dev[w] = dev.get(w, 0) - 1
-    tail_negatives, tail_zero = _tail_signs(c2, len(shape))
-    parity = WILDCARD if zero or tail_zero else (negatives + tail_negatives) % 2
-    return tuple(sorted((v, c) for v, c in dev.items() if c)), parity
+    twice-units; see :func:`transpose_profile`."""
+    return transpose_profile(c2, shape.transpose().parts)[0]
 
 
 def key_from_twice(c2: int, twice_key: tuple) -> OrbitKey:

@@ -399,7 +399,9 @@ def check_key_consistency(max_size: int, deltas, flip_parity_of: Partition | Non
         charge = sector_charge(delta)
         keys = {lam: block_key(lam, delta) for lam in parts}
         sym = {lam: reduce_mod_qtheta(weight_alpha_part(lam, delta), delta) for lam in parts}
-        seqs = {lam: make_sequence(lam.transpose(), charge) for lam in parts}
+        seqs = [make_sequence(lam.transpose(), charge) for lam in parts]
+        parity = {lam: s.negative_count() % 2 for lam, s in zip(parts, seqs)}
+        zeros = {lam: s.has_zero_entry() for lam, s in zip(parts, seqs)}
         lhs_keys = dict(keys)
         if flip_parity_of is not None and flip_parity_of in lhs_keys:
             original = lhs_keys[flip_parity_of]
@@ -414,8 +416,8 @@ def check_key_consistency(max_size: int, deltas, flip_parity_of: Partition | Non
                 if delta % 2 != 0:
                     expected = bar_eq
                 else:
-                    parity_eq = seqs[lam].negative_count() % 2 == seqs[mu].negative_count() % 2
-                    zero = seqs[lam].has_zero_entry() or seqs[mu].has_zero_entry()
+                    parity_eq = parity[lam] == parity[mu]
+                    zero = zeros[lam] or zeros[mu]
                     expected = bar_eq and (parity_eq or zero)
                 if key_eq != expected:
                     fail = (

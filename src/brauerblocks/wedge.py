@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .partitions import HALF, Partition, canonical_key, twice
+from .partitions import HALF, Partition, canonical_key, root_index, twice
 from .sequences import ChargedSequence
 
 
@@ -83,13 +83,6 @@ class WedgeVector:
         return sorted(self.terms.items(), key=lambda item: canonical_key(item[0].shape))
 
 
-def _check_index(i, charge) -> Fraction:
-    x = Fraction(i)
-    if (twice(x) + twice(charge)) % 2 == 0:
-        raise ValueError("operator index parity does not match the sector")
-    return x
-
-
 def _moved(seq: ChargedSequence, source: Fraction, step: int) -> ChargedSequence | None:
     """The basis sequence with the entry equal to source moved to source+step,
     or None when no entry matches or the move collides with a neighbour."""
@@ -121,7 +114,8 @@ def _moved(seq: ChargedSequence, source: Fraction, step: int) -> ChargedSequence
 
 
 def _apply_move(index, vector: WedgeVector, source_offset: Fraction, step: int) -> WedgeVector:
-    i = _check_index(index, vector.charge)
+    delta = twice(vector.charge) + 2
+    i = root_index(index, delta, "operator index parity does not match the sector")
     out: dict[ChargedSequence, Fraction] = {}
     for seq, coeff in vector.terms.items():
         moved = _moved(seq, i + source_offset, step)

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .partitions import Partition, integral, twice
-
-
-def _check_index(key, delta: int) -> None:
-    if twice(key) % 2 != (delta - 1) % 2:
-        raise ValueError(
-            f"index {key} does not lie in the root-index set for delta={delta}"
-        )
+from .partitions import Partition, integral, root_index
 
 
 def _content_counts(lam: Partition) -> tuple[int, list[int]]:
@@ -87,10 +80,11 @@ def reduce_mod_qtheta(v: dict, delta) -> SymWeight:
     pos: dict[Fraction, int] = {}
     zero_count = 0
     for k, c in v.items():
-        _check_index(k, d)
+        key = root_index(
+            k, d, "index {index} does not lie in the root-index set for delta={delta}"
+        )
         if c == 0:
             continue
-        key = Fraction(k)
         if key > 0:
             pos[key] = pos.get(key, 0) + c
         elif key < 0:

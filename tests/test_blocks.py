@@ -201,6 +201,50 @@ def test_brauer_algebra_blocks_equal_the_orbit_key_grouping():
             assert brauer_algebra_blocks(n, delta) == list(grouped.values()), (n, delta)
 
 
+def test_point_and_brauer_queries_never_transpose(monkeypatch):
+    # one label per run shape: empty, row, column, hook, rectangle, staircase
+    # and fat hooks, and 10**6-box labels at the CLI cap; the results must
+    # not change when Partition.transpose refuses to run
+    labels = [
+        EMPTY,
+        Partition((7,)),
+        Partition((1,) * 7),
+        Partition((5, 1, 1, 1)),
+        Partition((3, 3, 3)),
+        Partition((4, 3, 2, 1)),
+        Partition((4, 4, 2, 2, 2)),
+        Partition((6, 6, 1)),
+        Partition((10**6,)),
+        Partition((999998, 2)),
+    ]
+    deltas = (-3, 0, 1, 2, 5)
+    expected = {
+        (lam, delta): (
+            block_key(lam, delta),
+            classify_weight_class(lam, delta),
+            same_block_report(lam, labels[3], delta),
+        )
+        for lam in labels
+        for delta in deltas
+    }
+    brauer = {delta: brauer_algebra_blocks(8, delta) for delta in deltas}
+
+    def refuse(self):
+        raise AssertionError(f"transposed {self!r}")
+
+    monkeypatch.setattr(Partition, "transpose", refuse)
+    for lam in labels:
+        for delta in deltas:
+            assert (
+                block_key(lam, delta),
+                classify_weight_class(lam, delta),
+                same_block_report(lam, labels[3], delta),
+            ) == expected[lam, delta]
+            assert same_block(lam, lam, delta)
+            assert same_block(lam, labels[3], delta) == expected[lam, delta][2]["same_block"]
+    assert {delta: brauer_algebra_blocks(8, delta) for delta in deltas} == brauer
+
+
 def test_dot_orbit_examples():
     assert dot_orbit_member(EMPTY, Partition((3, 3)), 6, 2)
     assert not dot_orbit_member(EMPTY, Partition((1, 1)), 2, 2)

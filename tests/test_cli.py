@@ -255,3 +255,27 @@ def test_cap_bounds_first_parts_and_delta(capsys, monkeypatch):
     # central-char reads rows only and stays uncapped
     code, payload = run_json(capsys, "central-char", "--delta", "2", "--partition", "99999999999")
     assert code == 0
+
+
+def test_same_block_at_the_cap_reads_runs_not_columns(capsys):
+    # both labels have about 10**6 columns; the key is read off their rows
+    started = time.perf_counter()
+    code, payload = run_json(
+        capsys, "same-block", "--delta", "2", "--lhs", "1000000", "--rhs", "999998,2"
+    )
+    assert time.perf_counter() - started < 1
+    assert code == 0
+    assert payload == {
+        "delta": "2",
+        "lhs": [1000000],
+        "rhs": [999998, 2],
+        "same_block": False,
+        "block_key": {"twiceCharge": 0, "devMap": [[0, 1], [2000000, -1]], "negParity": "*"},
+        "reason": {
+            "semisimple": False,
+            "abs_multiset_equal": False,
+            "parity_lhs": 0,
+            "parity_rhs": 1,
+            "zero_entry": True,
+        },
+    }

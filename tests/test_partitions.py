@@ -8,8 +8,10 @@ from brauerblocks.partitions import (
     canonical_key,
     enumerate_partitions,
     half,
+    descending_partitions,
     parse_partition,
     partitions_of_size,
+    root_index,
     twice,
 )
 
@@ -85,8 +87,30 @@ def _count_partitions(n: int, largest: int, cache={}) -> int:
 def test_enumeration_counts_match_independent_counter():
     for n in range(21):
         assert len(partitions_of_size(n)) == _count_partitions(n, n)
+    for n in range(21, 41):
+        assert sum(1 for _ in descending_partitions(n)) == _count_partitions(n, n)
     assert len(enumerate_partitions(3)) == 7
     assert len(enumerate_partitions(0)) == 1
+
+
+def _descending(n: int, max_part: int):
+    # the recursive generator the library used before: every first part from
+    # the largest down, followed by the partitions of the rest below it
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in _descending(n - first, first):
+            yield (first,) + rest
+
+
+def test_iterative_generator_equals_the_recursive_one():
+    for n in range(23):
+        expected = list(_descending(n, n))
+        assert list(descending_partitions(n)) == expected
+        assert [p.parts for p in partitions_of_size(n)] == expected
+    with pytest.raises(ValueError, match="nonnegative"):
+        partitions_of_size(-1)
 
 
 def test_enumeration_order():
@@ -99,10 +123,23 @@ def test_enumeration_order():
 
 
 def test_constructor_rejects_invalid():
-    with pytest.raises(PartitionError):
-        Partition((1, 2))
+    with pytest.raises(PartitionError, match="^not weakly decreasing: 1 before 2$"):
+        Partition((3, 1, 2))
+    with pytest.raises(PartitionError, match="^not weakly decreasing: 1 before 2$"):
+        parse_partition("3,1,2")
     with pytest.raises(PartitionError):
         Partition((2, 0))
+
+
+def test_root_index_rejects_the_parity_of_delta():
+    assert root_index(Fraction(1, 2), 2, "unused") == Fraction(1, 2)
+    assert root_index(-3, 1, "unused") == -3
+    with pytest.raises(ValueError, match=r"^index 1 at delta=2$"):
+        root_index(1, 2, "index {index} at delta={delta}")
+    with pytest.raises(ValueError, match="^no$"):
+        root_index(Fraction(-1, 2), -1, "no")
+    with pytest.raises(ValueError, match="not an integer or half-integer"):
+        root_index(Fraction(1, 3), 2, "unused")
 
 
 def test_half_integer_helpers():

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,12 +11,14 @@ from brauerblocks.partitions import Partition, enumerate_partitions
 from brauerblocks.sequences import (
     WILDCARD,
     OrbitKey,
+    key_from_twice,
     make_sequence,
     orbit_key,
     orbit_twice_key,
     same_orbit,
     shape_from_entries,
     sign_profile,
+    transpose_profile,
 )
 from brauerblocks.weights import reduce_mod_qtheta, weight_alpha_part
 
@@ -135,6 +138,69 @@ def test_sign_profile_equals_per_entry_reading():
             s = make_sequence(lam, charge)
             assert sign_profile(delta - 2, lam) == (_per_entry_negatives(s), _per_entry_zero(s))
             assert (s.negative_count(), s.has_zero_entry()) == sign_profile(delta - 2, lam)
+
+
+def test_transpose_profile_equals_per_entry_reading():
+    # the kernel reads the module label lam; the references read the entries
+    # of the sequence of lam's transpose one by one
+    for delta in range(-8, 11):
+        charge = Fraction(delta, 2) - 1
+        for lam in enumerate_partitions(12):
+            s = make_sequence(lam.transpose(), charge)
+            key, negatives, zero = transpose_profile(delta - 2, lam.parts)
+            assert key_from_twice(delta - 2, key) == _per_entry_orbit_key(s), (lam, delta)
+            assert (negatives, zero) == (_per_entry_negatives(s), _per_entry_zero(s)), (lam, delta)
+
+
+def _column_profile(c2: int, shape: Partition) -> tuple:
+    # the column-reading loop the library used before: one step per part of
+    # `shape` (the transpose of the label), then the tail's negative entries
+    # and zero in closed form
+    dev: dict[int, int] = {}
+    negatives, zero = 0, False
+    for k, part in enumerate(shape.parts, 1):
+        v = c2 + 2 * (k - part)
+        if v < 0:
+            negatives += 1
+            v = -v
+        elif v == 0:
+            zero = True
+        dev[v] = dev.get(v, 0) + 1
+        w = abs(c2 + 2 * k)
+        dev[w] = dev.get(w, 0) - 1
+    negatives += max(0, (-c2 - 1) // 2 - len(shape))
+    zero = zero or (c2 % 2 == 0 and -c2 >= 2 * len(shape) + 2)
+    parity = WILDCARD if zero else negatives % 2
+    return (tuple(sorted((v, c) for v, c in dev.items() if c)), parity), negatives, zero
+
+
+# about 10**4 boxes each, one label per run shape
+LARGE_LABELS = {
+    "row": (10**4,),
+    "column": (1,) * 10**4,
+    "hook": (5000,) + (1,) * 5000,
+    "rectangle": (100,) * 100,
+    "staircase": tuple(range(140, 0, -1)),
+    "fat hook": (200,) * 30 + (50,) * 80,
+    "fat hook, long arm": (3000,) * 3 + (10,) * 100,
+}
+
+
+def test_transpose_profile_equals_the_column_loop_on_large_labels():
+    for name, parts in LARGE_LABELS.items():
+        shape = Partition(parts).transpose()
+        for delta in (-6, -2, 0, 1, 2, 5, 8):
+            assert transpose_profile(delta - 2, parts) == _column_profile(delta - 2, shape), (name, delta)
+
+
+def test_transpose_profile_costs_per_run_not_per_row():
+    # a run of r rows equal to p leaves min(p, r) values at each end; reading
+    # all r of them gives the same key, so only the time tells them apart
+    column = (1,) * 10**6
+    started = time.process_time()
+    profile = transpose_profile(0, column)
+    assert time.process_time() - started < 0.05
+    assert profile == _column_profile(0, Partition((10**6,)))
 
 
 def test_orbit_key_equality_decides_orbits():

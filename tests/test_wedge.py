@@ -45,9 +45,9 @@ def test_b_examples():
 
 
 def test_index_parity_is_enforced():
-    with pytest.raises(ValueError, match="parity"):
+    with pytest.raises(ValueError, match="^operator index parity does not match the sector$"):
         apply_raising(1, _basis(()))
-    with pytest.raises(ValueError, match="parity"):
+    with pytest.raises(ValueError, match="^operator index parity does not match the sector$"):
         apply_b(H, WedgeVector.zero(Fraction(-1, 2)))
 
 

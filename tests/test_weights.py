@@ -63,10 +63,13 @@ def test_reduce_examples():
 
 
 def test_reduce_rejects_parity_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^index 0 does not lie in the root-index set for delta=2$"):
         reduce_mod_qtheta({Fraction(0): 1}, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^index 1/2 does not lie in the root-index set for delta=1$"):
         reduce_mod_qtheta({H: 1}, 1)
+    # the index is checked before a zero coefficient is skipped
+    with pytest.raises(ValueError, match="root-index set"):
+        reduce_mod_qtheta({H: 0}, 1)
 
 
 def test_zero_parity_absent_for_even_delta():
