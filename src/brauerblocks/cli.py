@@ -144,9 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=_delta_arg, required=True)
     p.add_argument("--partition", type=_partition_arg, required=True)
     p.add_argument("--max-size", type=int, required=True)
-    p.add_argument(
-        "--jobs", type=int, default=1, help="deprecated and ignored: enumeration runs in one process"
-    )
 
     p = add("classify-weight-class", "single block or a split pair, with the partner label")
     p.add_argument("--delta", type=_delta_arg, required=True)
@@ -187,10 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-min", type=int, default=-3)
     p.add_argument("--delta-max", type=int, default=5)
     p.add_argument("--order", type=int, default=24)
-    p.add_argument(
-        "--jobs", type=int, default=1, help="deprecated and ignored: the matrix runs in one process"
-    )
-    p.add_argument("--force", action="store_true", help="lift the size cap")
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     return parser
@@ -204,11 +197,6 @@ def _run_block(args) -> dict:
         "max_size": args.max_size,
         "members": [_parts(m) for m in members],
     }
-
-
-def _require_jobs(args, parser: argparse.ArgumentParser) -> None:
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
 
 
 def main(argv=None) -> int:
@@ -250,7 +238,6 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
     if args.command == "block":
         if args.max_size < args.partition.size:
             parser.error("--max-size must be at least the size of --partition")
-        _require_jobs(args, parser)
         _require_capped(parser, args, "partition", delta=True)
         _emit(_run_block(args), fmt)
         return 0
@@ -354,11 +341,10 @@ def _dispatch(args, parser: argparse.ArgumentParser) -> int:
     if args.command == "verify":
         if args.max_size < 0 or args.order < 0:
             parser.error("--max-size and --order must be nonnegative")
-        if args.max_size > 10 and not args.force:
-            parser.error("--max-size above 10; pass --force to override")
+        if args.max_size > verify_mod.SIZE_CAP:
+            parser.error(f"--max-size above the cap {verify_mod.SIZE_CAP}")
         if args.delta_min > args.delta_max:
             parser.error("--delta-min must not exceed --delta-max")
-        _require_jobs(args, parser)
         results = verify_mod.run_verify(
             max_size=args.max_size,
             delta_lo=args.delta_min,

@@ -24,12 +24,12 @@ the zero-entry case, together with the negative-entry count and the zero
 flag.  It takes the *transpose* of the shape, the module label of the
 block layer, and reads the sequence off that label's runs of equal rows,
 for a label with r rows in O(runs * log r + sum over runs of
-min(part, run length)).  :func:`orbit_twice_key`, :func:`sign_profile`,
-:func:`same_orbit` and :meth:`ChargedSequence.negative_count` call it on
-the shape's transpose, and the reflection-descent oracle in ``blocks``
-checks it independently.  Fractions appear only at the public edge:
-:meth:`ChargedSequence.entry`, the :class:`OrbitKey` and
-:func:`shape_from_entries`.
+min(part, run length)).  Callers that hold a label read its negative-entry
+count and zero flag from it directly; :func:`orbit_twice_key`,
+:func:`orbit_key` and :func:`same_orbit` call it on the shape's transpose.
+The reflection-descent oracle in ``blocks`` checks it independently.
+Fractions appear only at the public edge: :meth:`ChargedSequence.entry`,
+the :class:`OrbitKey` and :func:`shape_from_entries`.
 """
 
 from __future__ import annotations
@@ -57,12 +57,6 @@ class ChargedSequence:
     def length(self) -> int:
         """Window length; entries agree with the vacuum beyond it."""
         return len(self.shape)
-
-    def has_zero_entry(self) -> bool:
-        return sign_profile(twice(self.charge), self.shape)[1]
-
-    def negative_count(self) -> int:
-        return sign_profile(twice(self.charge), self.shape)[0]
 
 
 def make_sequence(shape: Partition, charge) -> ChargedSequence:
@@ -151,12 +145,6 @@ def transpose_profile(c2: int, parts: tuple[int, ...]) -> tuple[tuple, int, bool
     negatives = max(0, t + length) - removed_negatives
     parity = WILDCARD if zero else negatives % 2
     return (tuple(sorted((v, c) for v, c in dev.items() if c)), parity), negatives, zero
-
-
-def sign_profile(c2: int, shape: Partition) -> tuple[int, bool]:
-    """(number of negative entries, whether an entry vanishes) of the
-    sequence of `shape` at charge c2/2."""
-    return transpose_profile(c2, shape.transpose().parts)[1:]
 
 
 def orbit_twice_key(c2: int, shape: Partition) -> tuple:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from brauerblocks import cli
+from brauerblocks import cli, verify
 from brauerblocks.cli import main
 
 
@@ -62,18 +62,16 @@ def test_block_key_requires_integer_delta(capsys):
     assert err.value.code == 2
 
 
-def test_block_command_and_jobs_agree(capsys):
-    code, serial = run_json(
+def test_block_command_rejects_jobs(capsys):
+    code, payload = run_json(
         capsys, "block", "--delta", "2", "--partition", "", "--max-size", "6"
     )
     assert code == 0
-    assert serial["members"] == [[], [2, 2, 2]]
-    code, sharded = run_json(
-        capsys,
-        "block", "--delta", "2", "--partition", "", "--max-size", "6", "--jobs", "2",
+    assert payload["members"] == [[], [2, 2, 2]]
+    message = _usage_error(
+        capsys, "block", "--delta", "2", "--partition", "", "--max-size", "6", "--jobs", "2"
     )
-    assert code == 0
-    assert sharded["members"] == serial["members"]
+    assert "unrecognized arguments: --jobs 2" in message
 
 
 def test_classify_command(capsys):
@@ -189,6 +187,22 @@ def test_verify_fault_injection(capsys):
     assert failing[0]["counterexample"]
 
 
+def test_verify_fault_that_cannot_be_planted_fails(capsys):
+    # (1) is above size 0, and at delta = 2 its key parity is the wildcard:
+    # the fault lands nowhere, and that is the counterexample
+    for argv, why in (
+        (("--max-size", "0", "--delta-min", "1", "--delta-max", "2"), "its size exceeds 0"),
+        (("--max-size", "3", "--delta-min", "-6", "--delta-max", "-6"), "its key parity is * at every delta"),
+        (("--max-size", "3", "--delta-min", "2", "--delta-max", "2"), "its key parity is * at every delta"),
+    ):
+        code, payload = run_json(capsys, "verify", *argv, "--order", "2", "--inject-fault")
+        assert code == 1
+        assert payload["passed"] is False
+        failing = [c for c in payload["checks"] if not c["passed"]]
+        assert [c["name"] for c in failing] == ["key-consistency"]
+        assert failing[0]["counterexample"] == f"fault on lam=[1] planted at no delta: {why}"
+
+
 def _usage_error(capsys, *argv) -> str:
     with pytest.raises(SystemExit) as err:
         main(list(argv))
@@ -209,13 +223,20 @@ def test_library_value_error_exits_2(capsys):
 def test_empty_delta_range_and_bad_jobs_exit_2(capsys):
     message = _usage_error(capsys, "verify", "--delta-min", "5", "--delta-max", "-3")
     assert "--delta-min must not exceed --delta-max" in message
-    for jobs in ("0", "-1"):
+    for jobs in ("0", "-1", "2"):
         message = _usage_error(
             capsys, "block", "--delta", "2", "--partition", "", "--max-size", "2", "--jobs", jobs
         )
-        assert "--jobs must be at least 1" in message
+        assert f"unrecognized arguments: --jobs {jobs}" in message
         message = _usage_error(capsys, "verify", "--max-size", "0", "--jobs", jobs)
-        assert "--jobs must be at least 1" in message
+        assert f"unrecognized arguments: --jobs {jobs}" in message
+    message = _usage_error(capsys, "verify", "--max-size", "0", "--force")
+    assert "unrecognized arguments: --force" in message
+
+
+def test_verify_size_cap_exits_2(capsys):
+    message = _usage_error(capsys, "verify", "--max-size", str(verify.SIZE_CAP + 1))
+    assert message.endswith(f"--max-size above the cap {verify.SIZE_CAP}")
 
 
 def test_dot_orbit_negative_rank_exits_2(capsys):

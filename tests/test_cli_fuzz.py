@@ -1,0 +1,102 @@
+"""CLI fuzz test: every argv from a bounded grammar gets a contracted outcome.
+
+The grammar covers every subcommand with small arguments (delta a small
+integer, a fraction or junk; partitions of at most 6 parts, sometimes not
+descending; ranks, orders and size bounds within a few units of their
+caps), plus stray ``--jobs`` and ``--force`` flags.  Each argv runs
+in-process with its streams redirected: the exit code must be 0, 1 or 2,
+stderr must hold no traceback, and on exit 0 or 1 stdout must be one JSON
+document (or non-empty text under ``--format text``).
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from brauerblocks.cli import main
+
+JUNK = st.sampled_from(["x", "1/0", "", "2.5.1", "1e3", "--", "-"])
+
+DELTA = st.one_of(
+    st.integers(-6, 8).map(str),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(1, 4)),
+    JUNK,
+)
+
+PARTITION = st.one_of(
+    st.lists(st.integers(1, 6), max_size=6).map(lambda xs: ",".join(map(str, sorted(xs, reverse=True)))),
+    st.lists(st.integers(0, 6), max_size=6).map(lambda xs: ",".join(map(str, xs))),
+    JUNK,
+)
+
+INDEX = st.one_of(st.integers(-10, 10).map(lambda t: str(t // 2) if t % 2 == 0 else f"{t}/2"), JUNK)
+
+
+def _opts(**kwargs):
+    """Strategy for a flat list of ``--name value`` pairs, in the given order."""
+    return st.tuples(*(st.tuples(st.just(f"--{k.replace('_', '-')}"), v) for k, v in kwargs.items())).map(
+        lambda pairs: [x for pair in pairs for x in pair]
+    )
+
+
+def _command(name, **kwargs):
+    return _opts(**kwargs).map(lambda rest: [name, *rest])
+
+
+VERIFY = st.builds(
+    lambda size, lo, span, order, fault: [
+        "verify", "--max-size", str(size), "--delta-min", str(lo), "--delta-max", str(lo + span),
+        "--order", str(order), *(["--inject-fault"] if fault else []),
+    ],
+    st.integers(0, 2),
+    st.integers(-6, 7),
+    st.integers(-1, 1),
+    st.integers(0, 8),
+    st.booleans(),
+)
+
+ARGV = st.one_of(
+    _command("same-block", delta=DELTA, lhs=PARTITION, rhs=PARTITION),
+    _command("block-key", delta=DELTA, partition=PARTITION),
+    _command("block", delta=DELTA, partition=PARTITION, max_size=st.integers(-1, 12).map(str)),
+    _command("classify-weight-class", delta=DELTA, partition=PARTITION),
+    _command("brauer-blocks", delta=DELTA, n=st.integers(-1, 10).map(str)),
+    _command("dot-orbit", delta=DELTA, lhs=PARTITION, rhs=PARTITION, n=st.integers(-1, 5).map(str)),
+    _command("central-char", delta=DELTA, partition=PARTITION),
+    _command("centrally-equivalent", delta=DELTA, lhs=PARTITION, rhs=PARTITION),
+    _command("series-check", delta=DELTA, order=st.integers(-1, 8).map(str)),
+    _command(
+        "wedge-apply", delta=DELTA, shape=PARTITION, index=INDEX, op=st.sampled_from(["b", "raising", "lowering"])
+    ),
+    VERIFY,
+)
+
+# stray flags: the removed --jobs (and --force, which only dot-orbit keeps) and a text format
+STRAY = st.sampled_from([[], [], ["--jobs", "2"], ["--jobs", "0"], ["--force"], ["--format", "text"]])
+
+
+def _run(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ARGV, STRAY)
+def test_every_bounded_argv_has_a_contracted_outcome(argv, stray):
+    argv = argv + stray
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code in (0, 1):
+        if "text" in argv:
+            assert out.strip(), argv
+        else:
+            json.loads(out)

@@ -17,7 +17,6 @@ from brauerblocks.sequences import (
     orbit_twice_key,
     same_orbit,
     shape_from_entries,
-    sign_profile,
     transpose_profile,
 )
 from brauerblocks.weights import reduce_mod_qtheta, weight_alpha_part
@@ -132,12 +131,14 @@ def _per_entry_orbit_key(seq):
 
 
 def test_sign_profile_equals_per_entry_reading():
+    # the negative count and zero flag of lam's own sequence, read by the
+    # kernel off the rows of lam's transpose
     for delta in range(-12, 9):
         charge = Fraction(delta, 2) - 1
         for lam in enumerate_partitions(10):
             s = make_sequence(lam, charge)
-            assert sign_profile(delta - 2, lam) == (_per_entry_negatives(s), _per_entry_zero(s))
-            assert (s.negative_count(), s.has_zero_entry()) == sign_profile(delta - 2, lam)
+            _, negatives, zero = transpose_profile(delta - 2, lam.transpose().parts)
+            assert (negatives, zero) == (_per_entry_negatives(s), _per_entry_zero(s)), (lam, delta)
 
 
 def test_transpose_profile_equals_per_entry_reading():
@@ -231,12 +232,14 @@ def test_twice_key_equality_equals_orbit_key_equality():
 
 
 def test_zero_presence_is_an_orbit_invariant():
-    charge = -1
-    seqs = [make_sequence(lam, charge) for lam in enumerate_partitions(6)]
-    for s in seqs:
-        for t in seqs:
-            if same_orbit(s, t):
-                assert s.has_zero_entry() == t.has_zero_entry()
+    # delta = 0 (charge -1); the zero flag of each label's transposed sequence
+    labels = enumerate_partitions(6)
+    seqs = {lam: make_sequence(lam.transpose(), -1) for lam in labels}
+    zero = {lam: transpose_profile(-2, lam.parts)[2] for lam in labels}
+    for lam in labels:
+        for mu in labels:
+            if same_orbit(seqs[lam], seqs[mu]):
+                assert zero[lam] == zero[mu]
 
 
 _shape = st.lists(st.integers(1, 4), max_size=4).map(
@@ -261,8 +264,8 @@ def test_orbits_match_bar_weight_classes():
     for delta in range(-4, 7):
         charge = Fraction(delta, 2) - 1
         parts = enumerate_partitions(8)
-        seqs = {lam: make_sequence(lam.transpose(), charge) for lam in parts}
-        keys = {lam: orbit_key(seqs[lam]) for lam in parts}
+        keys = {lam: orbit_key(make_sequence(lam.transpose(), charge)) for lam in parts}
+        signs = {lam: transpose_profile(delta - 2, lam.parts)[1:] for lam in parts}
         sym = {lam: reduce_mod_qtheta(weight_alpha_part(lam, delta), delta) for lam in parts}
         for i, lam in enumerate(parts):
             for mu in parts[i:]:
@@ -276,10 +279,7 @@ def test_orbits_match_bar_weight_classes():
                     )
                     assert dev_eq == bar_eq
                     if bar_eq:
-                        parity_free = seqs[lam].has_zero_entry()
-                        parity_eq = (
-                            seqs[lam].negative_count() % 2
-                            == seqs[mu].negative_count() % 2
-                        )
+                        parity_free = signs[lam][1]
+                        parity_eq = signs[lam][0] % 2 == signs[mu][0] % 2
                         assert (keys[lam] == keys[mu]) == (parity_free or parity_eq)
 
