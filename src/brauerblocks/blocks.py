@@ -8,7 +8,7 @@ permutation group; for non-integral delta the category is semisimple and
 every block is a single label.
 
 The point queries work in integer twice-units, with c2 = delta - 2, and
-build Fractions only for a returned OrbitKey.  They never build a
+return the OrbitKey in the same units.  They never build a
 transpose: sequences.transpose_profile, the one coding of the orbit rule,
 which the descent oracle below checks, reads the twice-key, negative count
 and zero flag of the transpose's sequence off the label's runs of equal
@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import Partition, canonical_key, descending_partitions, integral
-from .sequences import OrbitKey, key_from_twice, transpose_profile
+from .sequences import OrbitKey, transpose_profile
 
 BFS_RANK_CAP = 8
 
@@ -71,7 +71,7 @@ def same_block(lam: Partition, mu: Partition, delta) -> bool:
 def block_key(lam: Partition, delta) -> OrbitKey:
     """Canonical key with block_key(lam) == block_key(mu) iff same block."""
     c2 = integral(delta, "block keys require integral delta") - 2
-    return key_from_twice(c2, transpose_profile(c2, lam.parts)[0])
+    return OrbitKey(c2, *transpose_profile(c2, lam.parts)[0])
 
 
 @dataclass(frozen=True)
@@ -283,7 +283,7 @@ def same_block_report(lam: Partition, mu: Partition, delta) -> dict:
     key_t, neg_t, _ = transpose_profile(c2, mu.parts)
     return {
         "same_block": key_s == key_t,
-        "block_key": key_from_twice(c2, key_s).to_json(),
+        "block_key": OrbitKey(c2, *key_s).to_json(),
         "reason": {
             "semisimple": False,
             "abs_multiset_equal": key_s[0] == key_t[0],

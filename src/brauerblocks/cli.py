@@ -202,6 +202,10 @@ def _run_block(args) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        # argparse reads the value of --name=-- as [] without calling its type
+        if value == []:
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return _dispatch(args, parser)
     except ValueError as exc:

@@ -7,9 +7,12 @@ the content of a box is j - i and its delta-shifted content is
 Z or Z + 1/2 according to the parity of delta; arbitrary rational delta is
 accepted because the central-character computations need it.
 
-Half-integers are kept exact throughout the package: values are Fractions
-with denominator 1 or 2, and the serialisation layer exchanges them as
-twice-values (integers) via :func:`twice` and :func:`half`.
+Below the public edge the package holds every half-integer as its
+twice-value, an int: a root index i as 2i, a sequence entry or charge as
+twice its value.  :func:`twice` and :func:`half` convert at the edge, where
+values are exact Fractions (such as :meth:`Partition.contents` and the
+CLI's arguments); Fractions that stay are genuinely rational (delta and
+the roots of central characters) or the coefficients of wedge vectors.
 """
 
 from __future__ import annotations
@@ -43,15 +46,6 @@ def integral(value, message: str) -> int:
     if q.denominator != 1:
         raise ValueError(message)
     return q.numerator
-
-
-def root_index(value, delta: int, message: str) -> Fraction:
-    """value as a Fraction, when twice(value) has the parity of delta - 1;
-    raises ValueError(message.format(index=value, delta=delta)) otherwise."""
-    x = Fraction(value)
-    if (twice(x) - delta) % 2 == 0:
-        raise ValueError(message.format(index=value, delta=delta))
-    return x
 
 
 class Partition:

@@ -28,8 +28,10 @@ min(part, run length)).  Callers that hold a label read its negative-entry
 count and zero flag from it directly; :func:`orbit_twice_key`,
 :func:`orbit_key` and :func:`same_orbit` call it on the shape's transpose.
 The reflection-descent oracle in ``blocks`` checks it independently.
-Fractions appear only at the public edge: :meth:`ChargedSequence.entry`,
-the :class:`OrbitKey` and :func:`shape_from_entries`.
+The :class:`OrbitKey` holds the twice-key as it is, with twice the charge.
+Fractions appear only at the public edge, in a :class:`ChargedSequence`
+(:func:`make_sequence`, :meth:`ChargedSequence.entry`) and
+:func:`shape_from_entries`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
 
-from .partitions import Partition, half, twice
+from .partitions import Partition, twice
 
 WILDCARD = "*"
 
@@ -83,18 +85,20 @@ def shape_from_entries(charge, entries) -> Partition:
 
 @dataclass(frozen=True)
 class OrbitKey:
-    """Canonical orbit invariant: charge, deviation of the absolute-entry
-    multiset from the vacuum of the same charge, and a negative-count parity
-    that is the wildcard '*' when a zero entry is present."""
+    """Canonical orbit invariant in twice-units: twice the charge, the
+    deviation of the absolute-entry multiset from the vacuum of the same
+    charge as sorted pairs (twice the absolute value, count), and a
+    negative-count parity that is the wildcard '*' when a zero entry is
+    present."""
 
-    charge: Fraction
-    deviations: tuple[tuple[Fraction, int], ...]
+    twice_charge: int
+    deviations: tuple[tuple[int, int], ...]
     neg_parity: object  # 0, 1, or WILDCARD
 
     def to_json(self) -> dict:
         return {
-            "twiceCharge": twice(self.charge),
-            "devMap": [[twice(v), c] for v, c in self.deviations],
+            "twiceCharge": self.twice_charge,
+            "devMap": [[v, c] for v, c in self.deviations],
             "negParity": self.neg_parity,
         }
 
@@ -153,18 +157,12 @@ def orbit_twice_key(c2: int, shape: Partition) -> tuple:
     return transpose_profile(c2, shape.transpose().parts)[0]
 
 
-def key_from_twice(c2: int, twice_key: tuple) -> OrbitKey:
-    """The :class:`OrbitKey` of a twice-key at charge c2/2."""
-    deviations, parity = twice_key
-    return OrbitKey(half(c2), tuple((half(v), c) for v, c in deviations), parity)
-
-
 def orbit_key(seq: ChargedSequence) -> OrbitKey:
     """Deviation multiset over the window, against the vacuum; beyond the
-    window the two sequences coincide entry by entry.  Computed on
-    :func:`orbit_twice_key`, with Fractions only in the returned key."""
+    window the two sequences coincide entry by entry.  The twice-key of
+    :func:`orbit_twice_key` with twice the charge."""
     c2 = twice(seq.charge)
-    return key_from_twice(c2, orbit_twice_key(c2, seq.shape))
+    return OrbitKey(c2, *orbit_twice_key(c2, seq.shape))
 
 
 def same_orbit(s: ChargedSequence, t: ChargedSequence) -> bool:

@@ -14,7 +14,9 @@ check is a helper that returns that counterexample, or None.
 Label invariants are read once per label and delta: orbit keys through
 :func:`~brauerblocks.sequences.orbit_key`, and the negative-entry count and
 zero flag of a label's transposed sequence through
-:func:`~brauerblocks.sequences.transpose_profile`.
+:func:`~brauerblocks.sequences.transpose_profile`.  Weights, wedge moves
+and operator indices are compared in twice-units (the simple root alpha_i
+keyed by 2i); counterexamples print an operator index i as a number.
 
 `run_verify` executes the whole matrix at a requested scale (sizes are
 clamped to each check's documented bound, none above :data:`SIZE_CAP`) and
@@ -92,7 +94,7 @@ def _witness_failure() -> str | None:
         return "bar-weights unexpectedly agree"
     diff = vector_diff(weight_alpha_part(mu, 1), weight_alpha_part(lam, 1))
     cls = reduce_mod_qtheta(diff, 1)
-    neg_alpha0 = reduce_mod_qtheta({Fraction(0): -1}, 1)
+    neg_alpha0 = reduce_mod_qtheta({0: -1}, 1)
     if cls != neg_alpha0 or cls.is_zero:
         return f"weight-difference class is {cls}, expected the class of -alpha_0"
     return None
@@ -140,9 +142,8 @@ def check_orbit_vs_bfs(max_size: int, deltas) -> CheckResult:
 def _bridge_mismatch(max_size: int, deltas) -> str | None:
     parts = enumerate_partitions(max_size)
     for delta in deltas:
-        charge = sector_charge(delta)
         for lam in parts:
-            rel = relative_weight(make_sequence(lam.transpose(), charge))
+            rel = relative_weight(delta - 2, lam.transpose())
             expected = {k: -c for k, c in weight_alpha_part(lam, delta).items()}
             if rel != expected:
                 return f"lam={list(lam.parts)} delta={delta}: {rel} != {expected}"
@@ -247,21 +248,20 @@ def check_admissibility(deltas, order: int) -> CheckResult:
     )
 
 
-def _expected_box_moves(shape: Partition, charge: Fraction, index: Fraction) -> list[Partition]:
-    """Row-level oracle for the action of b_index on a basis sequence: remove
-    the box in the row whose entry equals index - 1/2 when the row stays
-    weakly decreasing, and add a box in the row whose entry equals
-    -index + 1/2 under the same proviso."""
+def _expected_box_moves(shape: Partition, c2: int, t: int) -> list[Partition]:
+    """Row-level oracle for the action of b_i, i = t/2, on the basis sequence
+    of twice-charge c2: remove the box in the row whose entry equals
+    i - 1/2 when the row stays weakly decreasing, and add a box in the row
+    whose entry equals -i + 1/2 under the same proviso.  Twice the entry of
+    row k is c2 + 2(k - shape_k)."""
     out: list[Partition] = []
-    remove_at = index - HALF
-    add_at = -index + HALF
     for k in range(1, len(shape) + 1):
-        if charge + k - shape.part(k) == remove_at and shape.part(k) > shape.part(k + 1):
+        if c2 + 2 * (k - shape.part(k)) == t - 1 and shape.part(k) > shape.part(k + 1):
             parts = list(shape.parts)
             parts[k - 1] -= 1
             out.append(Partition([p for p in parts if p > 0]))
     for k in range(1, len(shape) + 2):
-        if charge + k - shape.part(k) == add_at and (k == 1 or shape.part(k - 1) > shape.part(k)):
+        if c2 + 2 * (k - shape.part(k)) == 1 - t and (k == 1 or shape.part(k - 1) > shape.part(k)):
             parts = list(shape.parts)
             while len(parts) < k:
                 parts.append(0)
@@ -270,39 +270,46 @@ def _expected_box_moves(shape: Partition, charge: Fraction, index: Fraction) -> 
     return out
 
 
+def _box_move_problem(shape: Partition, c2: int, t: int, base_weight: dict) -> str | None:
+    """What is wrong with b_(t/2) on the basis vector of shape at twice-charge
+    c2, whose relative weight is base_weight, or None."""
+    result = apply_b(half(t), WedgeVector(c2, {shape: 1}))
+    got = sorted(
+        (tuple(s.parts) for s in result.terms),
+        key=lambda p: (sum(p), p),
+    )
+    expected = sorted(
+        (tuple(p.parts) for p in _expected_box_moves(shape, c2, t)),
+        key=lambda p: (sum(p), p),
+    )
+    if got != expected:
+        return f"terms {got} != oracle {expected}"
+    for shape_out, coeff in result.terms.items():
+        if coeff != 1:
+            return f"coefficient {coeff}"
+        if abs(shape_out.size - shape.size) != 1:
+            return "size changes by more than one box"
+        shift = vector_diff(relative_weight(c2, shape_out), base_weight)
+        if shift not in ({t: 1}, {-t: -1}):
+            return f"weight shift {shift}"
+    return None
+
+
 def _box_move_mismatch(max_size: int, deltas, index_bound: int) -> str | None:
     shapes = enumerate_partitions(max_size)
     for delta in deltas:
-        charge = sector_charge(delta)
-        tw_parity = (delta - 1) % 2
-        indices = [half(t) for t in range(-2 * index_bound, 2 * index_bound + 1) if t % 2 == tw_parity]
+        # twice-indices t = 2i of the parity of delta - 1
+        indices = range(-2 * index_bound + (delta - 1) % 2, 2 * index_bound + 1, 2)
         # the two admissible weight shifts of b_i depend on (i, delta) only
-        for i in indices:
-            if not reduce_mod_qtheta(vector_diff({i: 1}, {-i: -1}), delta).is_zero:
-                return f"i={i} delta={delta}: the two shift options differ modulo the sublattice"
+        for t in indices:
+            if not reduce_mod_qtheta(vector_diff({t: 1}, {-t: -1}), delta).is_zero:
+                return f"i={half(t)} delta={delta}: the two shift options differ modulo the sublattice"
         for shape in shapes:
-            seq = make_sequence(shape, charge)
-            base_weight = relative_weight(seq)
-            for i in indices:
-                result = apply_b(i, WedgeVector.basis(seq))
-                got = sorted(
-                    (tuple(s.shape.parts) for s in result.terms),
-                    key=lambda t: (sum(t), t),
-                )
-                expected = sorted(
-                    (tuple(p.parts) for p in _expected_box_moves(shape, charge, i)),
-                    key=lambda t: (sum(t), t),
-                )
-                if got != expected:
-                    return f"shape={list(shape.parts)} i={i} delta={delta}: terms {got} != oracle {expected}"
-                for seq_out, coeff in result.terms.items():
-                    if coeff != 1:
-                        return f"shape={list(shape.parts)} i={i} delta={delta}: coefficient {coeff}"
-                    if abs(seq_out.shape.size - shape.size) != 1:
-                        return f"shape={list(shape.parts)} i={i} delta={delta}: size changes by more than one box"
-                    shift = vector_diff(relative_weight(seq_out), base_weight)
-                    if shift not in ({i: 1}, {-i: -1}):
-                        return f"shape={list(shape.parts)} i={i} delta={delta}: weight shift {shift}"
+            base_weight = relative_weight(delta - 2, shape)
+            for t in indices:
+                problem = _box_move_problem(shape, delta - 2, t, base_weight)
+                if problem is not None:
+                    return f"shape={list(shape.parts)} i={half(t)} delta={delta}: {problem}"
     return None
 
 

@@ -5,16 +5,18 @@ For integral delta the weight attached to a partition is one fixed
 fundamental weight minus the sum of the simple roots indexed by the shifted
 contents of its boxes.  The fundamental weight is shared by every partition
 and never materialised; only the finitely supported alpha-part is stored,
-as a plain dict mapping root index (Fraction in Z or Z + 1/2, matching the
-parity of delta - 1) to an integer coefficient with zeros stripped.
+as a plain dict mapping the twice-index t = 2i of the root alpha_i to an
+integer coefficient with zeros stripped.  A box of content c has
+t = delta - 1 + 2c, so t has the parity of delta - 1.
 
 Two alpha-parts represent the same class modulo the sublattice spanned by
 alpha_i + alpha_{-i} (i > 0), together with 2*alpha_0 when the index 0
 occurs (delta odd), exactly when their :class:`SymWeight` reductions agree:
-the reduction keeps r_i = v(i) - v(-i) for i > 0 plus the parity of v(0).
+the reduction keeps r_t = v(t) - v(-t) for t > 0 plus the parity of v(0).
 :func:`same_bar_weight` applies that reduction to the difference of two
-content counts on integer twice-indices, without building either dict,
-in O(rows + width + length) per label.
+content counts, without building either dict, in O(rows + width + length)
+per label.  Only :func:`alpha_in_omega` keeps Fractions: it is compared
+with the rational roots of central characters.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .partitions import Partition, integral, root_index
+from .partitions import Partition, half, integral
 
 
 def _content_counts(lam: Partition) -> tuple[int, list[int]]:
@@ -40,13 +42,13 @@ def _content_counts(lam: Partition) -> tuple[int, list[int]]:
     return lo, list(accumulate(diff[:-1]))
 
 
-def weight_alpha_part(lam: Partition, delta) -> dict[Fraction, int]:
-    """Box count per shifted content; the weight of lam is the shared
-    fundamental weight minus sum coeffs[i] * alpha_i.  Keys come out in
-    increasing order."""
+def weight_alpha_part(lam: Partition, delta) -> dict[int, int]:
+    """Box count per twice shifted content t = delta - 1 + 2 * content; the
+    weight of lam is the shared fundamental weight minus the sum of
+    coeffs[t] * alpha_(t/2).  Keys come out in increasing order."""
     d = integral(delta, "weights require integral delta")
     lo, counts = _content_counts(lam)
-    return {Fraction(d - 1 + 2 * k, 2): c for k, c in enumerate(counts, lo)}
+    return {d - 1 + 2 * k: c for k, c in enumerate(counts, lo)}
 
 
 def vector_sum(u: dict, v: dict) -> dict:
@@ -63,10 +65,10 @@ def vector_diff(u: dict, v: dict) -> dict:
 @dataclass(frozen=True)
 class SymWeight:
     """Complete invariant of a root vector modulo the symmetrised sublattice:
-    the coefficients r_i = v(i) - v(-i) for i > 0 (sorted, zeros dropped) and,
-    when the index 0 exists, the parity of v(0)."""
+    the coefficients r_t = v(t) - v(-t) for twice-indices t > 0 (sorted,
+    zeros dropped) and, when the index 0 exists, the parity of v(0)."""
 
-    pos: tuple[tuple[Fraction, int], ...]
+    pos: tuple[tuple[int, int], ...]
     zero_parity: int | None
 
     @property
@@ -75,20 +77,18 @@ class SymWeight:
 
 
 def reduce_mod_qtheta(v: dict, delta) -> SymWeight:
-    """Reduce a root vector to its class; raises on index-parity mismatch."""
+    """Reduce a root vector keyed by twice-indices to its class; raises
+    unless every twice-index is an integer of the parity of delta - 1."""
     d = integral(delta, "weights require integral delta")
-    pos: dict[Fraction, int] = {}
+    pos: dict[int, int] = {}
     zero_count = 0
-    for k, c in v.items():
-        key = root_index(
-            k, d, "index {index} does not lie in the root-index set for delta={delta}"
-        )
-        if c == 0:
-            continue
-        if key > 0:
-            pos[key] = pos.get(key, 0) + c
-        elif key < 0:
-            pos[-key] = pos.get(-key, 0) - c
+    for t, c in v.items():
+        if (t - d) % 2 != 1:
+            raise ValueError(f"index {half(t)} does not lie in the root-index set for delta={d}")
+        if t > 0:
+            pos[t] = pos.get(t, 0) + c
+        elif t < 0:
+            pos[-t] = pos.get(-t, 0) - c
         else:
             zero_count += c
     entries = tuple(sorted((k, c) for k, c in pos.items() if c))

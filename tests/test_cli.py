@@ -147,6 +147,49 @@ def test_wedge_apply_rejects_bad_parity(capsys):
     assert err.value.code == 2
 
 
+def test_negative_fractions_need_the_equals_form(capsys):
+    # argparse reads a value such as -7/2 after a space as an unknown option
+    code, payload = run_json(capsys, "same-block", "--delta=-7/2", "--lhs", "1", "--rhs", "1")
+    assert code == 0
+    assert payload["delta"] == "-7/2" and payload["same_block"] is True
+    code, payload = run_json(capsys, "wedge-apply", "--delta", "2", "--shape", "1", "--index=-1/2")
+    assert code == 0
+    assert payload["twiceIndex"] == -1
+    for argv in (
+        ("same-block", "--delta", "-7/2", "--lhs", "1", "--rhs", "1"),
+        ("wedge-apply", "--delta", "2", "--shape", "1", "--index", "-1/2"),
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("usage: brauerblocks ")
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith("expected one argument")
+    # argparse hands the value of --delta=-- over as [] without parsing it
+    for argv in (
+        ("block-key", "--delta=--", "--partition", ""),
+        ("wedge-apply", "--delta", "2", "--shape", "1", "--index=--"),
+    ):
+        assert _usage_error(capsys, *argv).endswith("expected one argument")
+
+
+def test_wedge_apply_on_huge_indices_is_cheap(capsys):
+    # a tail entry far beyond the shape collides with its neighbour; the
+    # collision is found without padding the shape out to the entry
+    for op in ("b", "raising", "lowering"):
+        for index, twice_index in (("99999999999/2", 99999999999), ("-99999999999/2", -99999999999)):
+            started = time.perf_counter()
+            code, payload = run_json(
+                capsys, "wedge-apply", "--delta", "2", "--shape", "1", f"--index={index}", "--op", op
+            )
+            assert time.perf_counter() - started < 0.5
+            assert code == 0
+            assert payload == {"delta": "2", "op": op, "twiceIndex": twice_index, "shape": [1], "terms": []}
+
+
 def test_text_format(capsys):
     code, out = run(
         capsys,

@@ -2,8 +2,10 @@
 
 The grammar covers every subcommand with small arguments (delta a small
 integer, a fraction or junk; partitions of at most 6 parts, sometimes not
-descending; ranks, orders and size bounds within a few units of their
-caps), plus stray ``--jobs`` and ``--force`` flags.  Each argv runs
+descending; operator indices up to +-99999999999/2; ranks, orders and size
+bounds within a few units of their caps), plus stray ``--jobs`` and
+``--force`` flags.  Delta and the index are written ``--name=value``, so
+that negative fractions reach the library.  Each argv runs
 in-process with its streams redirected: the exit code must be 0, 1 or 2,
 stderr must hold no traceback, and on exit 0 or 1 stdout must be one JSON
 document (or non-empty text under ``--format text``).
@@ -32,13 +34,28 @@ PARTITION = st.one_of(
     JUNK,
 )
 
-INDEX = st.one_of(st.integers(-10, 10).map(lambda t: str(t // 2) if t % 2 == 0 else f"{t}/2"), JUNK)
+INDEX = st.one_of(
+    st.integers(-10, 10).map(lambda t: str(t // 2) if t % 2 == 0 else f"{t}/2"),
+    st.sampled_from(["99999999999/2", "-99999999999/2"]),
+    JUNK,
+)
+
+# After a space argparse reads a negative fraction such as -7/2 as an unknown
+# option, so these options are written --name=value and their negative
+# fractions reach the library.
+JOINED = frozenset({"delta", "index"})
+
+
+def _option(name: str, value: str) -> list[str]:
+    flag = f"--{name.replace('_', '-')}"
+    return [f"{flag}={value}"] if name in JOINED else [flag, value]
 
 
 def _opts(**kwargs):
-    """Strategy for a flat list of ``--name value`` pairs, in the given order."""
-    return st.tuples(*(st.tuples(st.just(f"--{k.replace('_', '-')}"), v) for k, v in kwargs.items())).map(
-        lambda pairs: [x for pair in pairs for x in pair]
+    """Strategy for a flat list of options in the given order: ``--name=value``
+    for the names in JOINED, ``--name value`` for the others."""
+    return st.tuples(*(v.map(lambda x, k=k: _option(k, x)) for k, v in kwargs.items())).map(
+        lambda opts: [x for opt in opts for x in opt]
     )
 
 

@@ -3,8 +3,14 @@
 ``golden_cli.json`` holds, for each invocation, its argv, its exit code and
 its exact stdout: same-block (JSON with the reason evidence, and text),
 block-key, classify-weight-class (split and single classes, window and tail
-zero entries), block and brauer-blocks over delta in {-3, 0, 1, 2, 5, 7/2},
-plus a few usage errors, which print nothing on stdout and exit 2.
+zero entries), block and brauer-blocks over delta in {-3, 0, 1, 2, 5, 7/2};
+wedge-apply with each of b, raising and lowering at even and odd delta,
+negative indices (written --index=-3/2), moves at the tail of the empty
+shape, a colliding move with no terms, and text output; one case each of
+central-char, centrally-equivalent, dot-orbit and series-check; plus a few
+usage errors (among them a wedge-apply index of the wrong parity and
+delta = 7/2, whose charge is no half-integer), which print nothing on
+stdout and exit 2.
 """
 
 import json

@@ -11,7 +11,6 @@ from brauerblocks.partitions import (
     descending_partitions,
     parse_partition,
     partitions_of_size,
-    root_index,
     twice,
 )
 
@@ -129,17 +128,6 @@ def test_constructor_rejects_invalid():
         parse_partition("3,1,2")
     with pytest.raises(PartitionError):
         Partition((2, 0))
-
-
-def test_root_index_rejects_the_parity_of_delta():
-    assert root_index(Fraction(1, 2), 2, "unused") == Fraction(1, 2)
-    assert root_index(-3, 1, "unused") == -3
-    with pytest.raises(ValueError, match=r"^index 1 at delta=2$"):
-        root_index(1, 2, "index {index} at delta={delta}")
-    with pytest.raises(ValueError, match="^no$"):
-        root_index(Fraction(-1, 2), -1, "no")
-    with pytest.raises(ValueError, match="not an integer or half-integer"):
-        root_index(Fraction(1, 3), 2, "unused")
 
 
 def test_half_integer_helpers():

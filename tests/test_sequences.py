@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauerblocks.partitions import Partition, enumerate_partitions
+from brauerblocks.partitions import Partition, enumerate_partitions, twice
 from brauerblocks.sequences import (
     WILDCARD,
     OrbitKey,
-    key_from_twice,
     make_sequence,
     orbit_key,
     orbit_twice_key,
@@ -56,7 +55,9 @@ def test_orbit_key_examples():
     assert two_flips.deviations == () and two_flips.neg_parity == 0
 
     with_zero = orbit_key(make_sequence(Partition((1, 1)), 0))
-    assert with_zero.deviations == ((Fraction(0), 1), (Fraction(2), -1))
+    # twice the absolute values 0 and 2
+    assert with_zero.twice_charge == 0
+    assert with_zero.deviations == ((0, 1), (4, -1))
     assert with_zero.neg_parity == WILDCARD
 
 
@@ -120,14 +121,15 @@ def _per_entry_same_orbit(s, t) -> bool:
 
 
 def _per_entry_orbit_key(seq):
-    # the orbit key read entry by entry in Fractions, independent of the twice-key
+    # the orbit key read entry by entry in Fractions, independent of the
+    # twice-key, and handed out in the OrbitKey's twice-units
     dev: dict = {}
     for k in range(1, seq.length + 1):
         v, w = abs(seq.entry(k)), abs(seq.charge + k)
         dev[v] = dev.get(v, 0) + 1
         dev[w] = dev.get(w, 0) - 1
     parity = WILDCARD if _per_entry_zero(seq) else _per_entry_negatives(seq) % 2
-    return OrbitKey(seq.charge, tuple(sorted((v, c) for v, c in dev.items() if c)), parity)
+    return OrbitKey(twice(seq.charge), tuple(sorted((twice(v), c) for v, c in dev.items() if c)), parity)
 
 
 def test_sign_profile_equals_per_entry_reading():
@@ -149,7 +151,7 @@ def test_transpose_profile_equals_per_entry_reading():
         for lam in enumerate_partitions(12):
             s = make_sequence(lam.transpose(), charge)
             key, negatives, zero = transpose_profile(delta - 2, lam.parts)
-            assert key_from_twice(delta - 2, key) == _per_entry_orbit_key(s), (lam, delta)
+            assert OrbitKey(delta - 2, *key) == _per_entry_orbit_key(s), (lam, delta)
             assert (negatives, zero) == (_per_entry_negatives(s), _per_entry_zero(s)), (lam, delta)
 
 
@@ -275,7 +277,7 @@ def test_orbits_match_bar_weight_classes():
                 else:
                     dev_eq = (
                         keys[lam].deviations == keys[mu].deviations
-                        and keys[lam].charge == keys[mu].charge
+                        and keys[lam].twice_charge == keys[mu].twice_charge
                     )
                     assert dev_eq == bar_eq
                     if bar_eq:

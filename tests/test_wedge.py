@@ -1,10 +1,12 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauerblocks.partitions import Partition, enumerate_partitions
+from brauerblocks import verify
+from brauerblocks.partitions import Partition, enumerate_partitions, twice
 from brauerblocks.sequences import make_sequence
 from brauerblocks.wedge import (
     WedgeVector,
@@ -27,13 +29,13 @@ def test_raising_examples():
     one = _basis((1,))
     assert apply_raising(H, one) == _basis(())
     assert apply_raising(Fraction(3, 2), _basis(())).is_zero
-    assert apply_raising(H, WedgeVector.zero(0)).is_zero
+    assert apply_raising(H, WedgeVector(0)).is_zero
 
 
 def test_lowering_examples():
     assert apply_lowering(H, _basis(())) == _basis((1,))
     assert apply_lowering(Fraction(3, 2), _basis(())).is_zero
-    assert apply_lowering(-H, WedgeVector.zero(0)).is_zero
+    assert apply_lowering(-H, WedgeVector(0)).is_zero
 
 
 def test_b_examples():
@@ -41,31 +43,36 @@ def test_b_examples():
     # raising restores the vacuum; lowering moves the entry 0 down to -1,
     # which is the sequence of the shape (2)
     assert apply_b(H, _basis((1,))) == _basis(()) + _basis((2,))
-    assert apply_b(H, WedgeVector.zero(0)).is_zero
+    assert apply_b(H, WedgeVector(0)).is_zero
 
 
 def test_index_parity_is_enforced():
     with pytest.raises(ValueError, match="^operator index parity does not match the sector$"):
         apply_raising(1, _basis(()))
     with pytest.raises(ValueError, match="^operator index parity does not match the sector$"):
-        apply_b(H, WedgeVector.zero(Fraction(-1, 2)))
+        apply_b(H, WedgeVector(-1))
+    # an index that is not a half-integer is refused before the parity test
+    with pytest.raises(ValueError, match="not an integer or half-integer"):
+        apply_raising(Fraction(1, 3), _basis(()))
+    with pytest.raises(ValueError, match="not an integer or half-integer"):
+        apply_b(Fraction(1, 3), _basis(()))
 
 
 def test_relative_weight_examples():
-    assert relative_weight(make_sequence(Partition(), 0)) == {}
-    assert relative_weight(make_sequence(Partition((1,)), 0)) == {H: -1}
-    assert relative_weight(make_sequence(Partition((1, 1)), 0)) == {
-        H: -1,
-        Fraction(3, 2): -1,
+    # keys are twice-indices: twice 1/2 and twice 3/2
+    assert relative_weight(0, Partition()) == {}
+    assert relative_weight(0, Partition((1,))) == {1: -1}
+    assert relative_weight(0, Partition((1, 1))) == {
+        1: -1,
+        3: -1,
     }
 
 
 def test_relative_weight_matches_label_weight():
     # the transposed sequence carries the negated alpha-part of the label
     for delta in range(-4, 7):
-        charge = Fraction(delta, 2) - 1
         for lam in enumerate_partitions(6):
-            rel = relative_weight(make_sequence(lam.transpose(), charge))
+            rel = relative_weight(delta - 2, lam.transpose())
             assert rel == {k: -c for k, c in weight_alpha_part(lam, delta).items()}
 
 
@@ -73,21 +80,22 @@ def test_b_moves_one_box_with_unit_coefficients():
     for delta in (-2, 1, 2, 3):
         charge = Fraction(delta, 2) - 1
         parity = (delta - 1) % 2
-        indices = [Fraction(t, 2) for t in range(-9, 10) if t % 2 == parity]
+        # twice-indices t of the operator indices i = t/2
+        indices = [t for t in range(-9, 10) if t % 2 == parity]
         for shape in enumerate_partitions(4):
             seq = make_sequence(shape, charge)
-            base = relative_weight(seq)
-            for i in indices:
-                out = apply_b(i, WedgeVector.basis(seq))
+            base = relative_weight(delta - 2, shape)
+            for t in indices:
+                out = apply_b(Fraction(t, 2), WedgeVector.basis(seq))
                 assert len(out.terms) <= 2
                 for term, coeff in out.terms.items():
                     assert coeff == 1
-                    assert abs(term.shape.size - shape.size) == 1
-                    shift = vector_diff(relative_weight(term), base)
-                    assert shift in ({i: 1}, {-i: -1})
+                    assert abs(term.size - shape.size) == 1
+                    shift = vector_diff(relative_weight(delta - 2, term), base)
+                    assert shift in ({t: 1}, {-t: -1})
                     # the two possible shifts agree modulo the sublattice
                     assert reduce_mod_qtheta(
-                        vector_diff({i: 1}, {-i: -1}), delta
+                        vector_diff({t: 1}, {-t: -1}), delta
                     ).is_zero
 
 
@@ -100,9 +108,8 @@ _shape = st.lists(st.integers(1, 3), max_size=3).map(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(_shape, _coeff), min_size=1, max_size=3), _coeff)
 def test_operators_are_linear(pairs, scalar):
-    charge = Fraction(0)
-    u = WedgeVector(charge, {make_sequence(p, charge): c for p, c in pairs})
-    v = WedgeVector(charge, {make_sequence(Partition((2,)), charge): Fraction(1)})
+    u = WedgeVector(0, dict(pairs))
+    v = WedgeVector(0, {Partition((2,)): Fraction(1)})
     i = Fraction(3, 2)
     assert apply_raising(i, u + v) == apply_raising(i, u) + apply_raising(i, v)
     assert apply_lowering(i, scalar * u) == scalar * apply_lowering(i, u)
@@ -113,11 +120,44 @@ def test_vector_arithmetic_and_json():
     a = _basis((1,))
     b = _basis((2,))
     combined = 2 * a + b * Fraction(1, 3)
-    assert combined.terms[make_sequence(Partition((1,)), 0)] == 2
+    assert combined.terms[Partition((1,))] == 2
     assert (a + (-1) * a).is_zero
     with pytest.raises(ValueError):
-        a + WedgeVector.zero(1)
+        a + WedgeVector(2)
     assert wedge_vector_json(combined) == [
         {"shape": [1], "twiceCharge": 0, "numerator": 2, "denominator": 1},
         {"shape": [2], "twiceCharge": 0, "numerator": 1, "denominator": 3},
     ]
+
+
+def _b_without_collisions(index, vector):
+    # b_index with the collision rule dropped: in rows 1 .. length + 1 the
+    # entry equal to index - 1/2 moves up and the entry equal to -index + 1/2
+    # moves down even onto a neighbour; the rows are re-sorted so that the
+    # result is still a shape
+    i2, c2 = twice(index), vector.twice_charge
+    out = {}
+    for shape, coeff in vector.terms.items():
+        for source, step in ((i2 - 1, 1), (1 - i2, -1)):
+            for k in range(1, len(shape) + 2):
+                if c2 + 2 * (k - shape.part(k)) == source:
+                    parts = [*shape.parts, 0]
+                    parts[k - 1] -= step
+                    moved = Partition(sorted((p for p in parts if p > 0), reverse=True))
+                    out[moved] = out.get(moved, 0) + coeff
+    return WedgeVector(c2, out)
+
+
+def test_box_move_check_fails_when_collisions_are_allowed(monkeypatch):
+    monkeypatch.setattr(verify, "apply_b", _b_without_collisions)
+    result = verify.check_box_moves(3, [0, 1])
+    assert not result.passed
+    found = re.fullmatch(r"shape=\[([\d, ]*)\] i=(-?\d+(?:/2)?) delta=(-?\d+): .*", result.counterexample)
+    assert found, result.counterexample
+    shape = Partition(tuple(int(x) for x in found.group(1).split(",") if x))
+    i, delta = Fraction(found.group(2)), int(found.group(3))
+    # the named move really collides: the library and the mutant disagree there
+    basis = WedgeVector(delta - 2, {shape: 1})
+    assert apply_b(i, basis) != _b_without_collisions(i, basis)
+    monkeypatch.undo()
+    assert verify.check_box_moves(3, [0, 1]).passed

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauerblocks.blocks import classify_weight_class
-from brauerblocks.partitions import Partition, enumerate_partitions
+from brauerblocks.blocks import block_key, classify_weight_class
+from brauerblocks.partitions import Partition, enumerate_partitions, twice
+from brauerblocks.sequences import WILDCARD
+from brauerblocks.wedge import relative_weight
 from brauerblocks.weights import (
     SymWeight,
     alpha_in_omega,
@@ -20,9 +22,10 @@ H = Fraction(1, 2)
 
 
 def test_alpha_part_examples():
+    # keys are twice-indices t = delta - 1 + 2 * content
     assert weight_alpha_part(Partition(), 3) == {}
-    assert weight_alpha_part(Partition((2, 1)), 1) == {-1: 1, 0: 1, 1: 1}
-    assert weight_alpha_part(Partition((1, 1)), 2) == {H: 1, -H: 1}
+    assert weight_alpha_part(Partition((2, 1)), 1) == {-2: 1, 0: 1, 2: 1}
+    assert weight_alpha_part(Partition((1, 1)), 2) == {1: 1, -1: 1}
 
 
 def test_alpha_part_counts_boxes():
@@ -32,9 +35,10 @@ def test_alpha_part_counts_boxes():
 
 
 def _alpha_part_per_box(lam: Partition, delta) -> dict:
+    # the shifted contents as Fractions, keyed by their twice-values
     out: dict = {}
     for c in lam.contents(delta):
-        out[c] = out.get(c, 0) + 1
+        out[twice(c)] = out.get(twice(c), 0) + 1
     return out
 
 
@@ -54,28 +58,41 @@ def test_alpha_part_requires_integral_delta():
 
 
 def test_reduce_examples():
-    nonzero = reduce_mod_qtheta({Fraction(0): 1}, 1)
+    # keys are twice-indices: alpha_0, alpha_(+-1) and alpha_(+-1/2)
+    nonzero = reduce_mod_qtheta({0: 1}, 1)
     assert nonzero.pos == () and nonzero.zero_parity == 1
     assert not nonzero.is_zero
 
-    assert reduce_mod_qtheta({Fraction(1): 1, Fraction(-1): 1}, 1).is_zero
-    assert reduce_mod_qtheta({H: 1, -H: 1}, 2).is_zero
+    assert reduce_mod_qtheta({2: 1, -2: 1}, 1).is_zero
+    assert reduce_mod_qtheta({1: 1, -1: 1}, 2).is_zero
 
 
 def test_reduce_rejects_parity_mismatch():
+    # the error prints the index itself, half the twice-index
     with pytest.raises(ValueError, match=r"^index 0 does not lie in the root-index set for delta=2$"):
-        reduce_mod_qtheta({Fraction(0): 1}, 2)
+        reduce_mod_qtheta({0: 1}, 2)
+    with pytest.raises(ValueError, match=r"^index 1 does not lie in the root-index set for delta=2$"):
+        reduce_mod_qtheta({2: 1}, 2)
     with pytest.raises(ValueError, match=r"^index 1/2 does not lie in the root-index set for delta=1$"):
-        reduce_mod_qtheta({H: 1}, 1)
+        reduce_mod_qtheta({1: 1}, 1)
+    with pytest.raises(ValueError, match=r"^index -3/2 does not lie in the root-index set for delta=-1$"):
+        reduce_mod_qtheta({-3: 1}, -1)
+    assert reduce_mod_qtheta({-6: 1}, -1).pos == ((6, -1),)
     # the index is checked before a zero coefficient is skipped
     with pytest.raises(ValueError, match="root-index set"):
-        reduce_mod_qtheta({H: 0}, 1)
+        reduce_mod_qtheta({1: 0}, 1)
+    # a key that is not an integer, such as a root index passed as a Fraction
+    # instead of its twice-index, is refused rather than misread
+    with pytest.raises(ValueError, match="root-index set"):
+        reduce_mod_qtheta({H: 2}, 2)
+    with pytest.raises(ValueError, match="root-index set"):
+        reduce_mod_qtheta({Fraction(2, 3): 1}, 1)
 
 
 def test_zero_parity_absent_for_even_delta():
-    w = reduce_mod_qtheta({H: 2}, 2)
+    w = reduce_mod_qtheta({1: 2}, 2)
     assert w.zero_parity is None
-    assert w.pos == ((H, 2),)
+    assert w.pos == ((1, 2),)
 
 
 def test_same_bar_weight_examples():
@@ -120,8 +137,9 @@ def test_alpha_in_omega_examples():
     assert alpha_in_omega(-H) == {-H: 2, Fraction(-3, 2): -1, H: -1}
 
 
+# twice-indices of integral root indices, the parity of delta - 1 at delta = 1
 _vector = st.dictionaries(
-    st.integers(-5, 5).map(lambda t: Fraction(t)),
+    st.integers(-5, 5).map(lambda i: 2 * i),
     st.integers(-3, 3).filter(lambda c: c != 0),
     max_size=6,
 )
@@ -152,3 +170,18 @@ def test_bar_weight_classes_preserve_size_parity():
             classes.setdefault(sym, set()).add(lam.size % 2)
         assert all(len(parities) == 1 for parities in classes.values())
 
+
+
+def test_keys_and_key_fields_are_ints():
+    # half-integers below the public edge are held as integer twice-values
+    for delta in (-3, 0, 1, 2, 5):
+        for lam in enumerate_partitions(6):
+            alpha = weight_alpha_part(lam, delta)
+            assert all(type(t) is int for t in alpha)
+            assert all(type(t) is int for t in relative_weight(delta - 2, lam.transpose()))
+            pos = reduce_mod_qtheta(alpha, delta).pos
+            assert all(type(t) is int and type(c) is int for t, c in pos)
+            key = block_key(lam, delta)
+            assert type(key.twice_charge) is int
+            assert all(type(v) is int and type(c) is int for v, c in key.deviations)
+            assert key.neg_parity == WILDCARD or type(key.neg_parity) is int
