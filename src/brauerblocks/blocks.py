@@ -29,10 +29,10 @@ objects.
 Both oracles shift a label by rho_n (coordinates 1 - i - delta/2) and use
 the rank-n generators: adjacent swaps and the negate-and-swap of the first
 two coordinates.  dot_dominant descends to the orbit's unique dominant
-vector in at most n(n-1) moves; the verify matrix uses it.  dot_orbit_member
-runs breadth-first search over the whole orbit, which is finite (at most
-2^(n-1) n! vectors) but grows fast, so ranks above 8 require an explicit
-override; it backs the dot-orbit CLI and certifies the descent in tests.
+vector in at most n(n-1) moves; the verify matrix and the dot-orbit CLI use
+it.  dot_orbit_member runs breadth-first search over the whole orbit, which
+is finite (at most 2^(n-1) n! vectors) but grows fast, so ranks above 8
+require an explicit override; it certifies the descent in tests.
 """
 
 from __future__ import annotations

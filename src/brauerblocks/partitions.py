@@ -12,7 +12,8 @@ twice-value, an int: a root index i as 2i, a sequence entry or charge as
 twice its value.  :func:`twice` and :func:`half` convert at the edge, where
 values are exact Fractions (such as :meth:`Partition.contents` and the
 CLI's arguments); Fractions that stay are genuinely rational (delta and
-the roots of central characters) or the coefficients of wedge vectors.
+the roots of central characters), and wedge-vector coefficients are
+rational values, an int or a Fraction.
 """
 
 from __future__ import annotations
@@ -34,10 +35,11 @@ def half(twice_value: int) -> Fraction:
 
 def twice(value) -> int:
     """2 * value as an int; rejects anything outside (1/2)Z."""
-    q = Fraction(value) * 2
-    if q.denominator != 1:
+    # an int or a Fraction is read as it is, without building a new Fraction
+    q = value if isinstance(value, (int, Fraction)) else Fraction(value)
+    if q.denominator > 2:
         raise ValueError(f"{value} is not an integer or half-integer")
-    return q.numerator
+    return 2 * q.numerator // q.denominator
 
 
 def integral(value, message: str) -> int:

@@ -35,11 +35,9 @@ class WedgeVector:
 
     def __init__(self, twice_charge: int, terms=None):
         self.twice_charge = twice_charge
-        self.terms: dict[Partition, Fraction] = {}
-        for shape, coeff in (terms or {}).items():
-            c = Fraction(coeff)
-            if c:
-                self.terms[shape] = c
+        self.terms: dict[Partition, int | Fraction] = {
+            shape: c for shape, c in (terms or {}).items() if c
+        }
 
     @classmethod
     def basis(cls, seq: ChargedSequence) -> "WedgeVector":
@@ -106,7 +104,7 @@ def _apply_move(i2: int, vector: WedgeVector, step: int) -> WedgeVector:
     c2 = vector.twice_charge
     if (i2 + c2) % 2 == 0:
         raise ValueError("operator index parity does not match the sector")
-    out: dict[Partition, Fraction] = {}
+    out: dict[Partition, int | Fraction] = {}
     for shape, coeff in vector.terms.items():
         moved = _moved(c2, shape, i2 - step, step)
         if moved is not None:

@@ -1,10 +1,15 @@
+import argparse
 import json
+import random
 import time
+from pathlib import Path
 
 import pytest
 
 from brauerblocks import cli, verify
-from brauerblocks.cli import main
+from brauerblocks.blocks import dot_orbit_member
+from brauerblocks.cli import build_parser, main
+from brauerblocks.partitions import enumerate_partitions
 
 
 def run(capsys, *argv):
@@ -102,9 +107,45 @@ def test_dot_orbit_command_and_cap(capsys):
     assert code == 0
     assert payload["same_dot_orbit"] is True
 
-    with pytest.raises(SystemExit) as err:
-        main(["dot-orbit", "--delta", "2", "--lhs", "", "--rhs", "", "--n", "9"])
-    assert err.value.code == 2
+    # the descent answers above the BFS oracle's rank cap
+    code, payload = run_json(capsys, "dot-orbit", "--delta", "2", "--lhs", "", "--rhs", "", "--n", "9")
+    assert code == 0 and payload["same_dot_orbit"] is True
+    code, payload = run_json(
+        capsys, "dot-orbit", "--delta", "2", "--lhs", "1", "--rhs", "3", "--n", str(cli.RANK_CAP)
+    )
+    assert code == 0 and payload["same_dot_orbit"] is False
+    started = time.perf_counter()
+    message = _usage_error(
+        capsys, "dot-orbit", "--delta", "2", "--lhs", "", "--rhs", "", "--n", str(cli.RANK_CAP + 1)
+    )
+    assert time.perf_counter() - started < 1
+    assert message.endswith(f"--n above the cap {cli.RANK_CAP}")
+    message = _usage_error(
+        capsys, "dot-orbit", "--delta", "2", "--lhs", "", "--rhs", "", "--n", "2", "--force"
+    )
+    assert "unrecognized arguments: --force" in message
+
+
+def test_dot_orbit_command_equals_the_bfs(capsys):
+    # labels of size <= 4 at ranks 4 to 6 and delta in -3..5: against every
+    # rhs, one lhs per rank and delta, drawn with a fixed seed, so that one
+    # BFS orbit serves each (rank, delta)
+    labels = enumerate_partitions(4)
+    rng = random.Random(0)
+    answers = set()
+    for n in range(4, 7):
+        for delta in range(-3, 6):
+            a = rng.choice(labels)
+            for b in labels:
+                code, payload = run_json(
+                    capsys, "dot-orbit", f"--delta={delta}", "--lhs", ",".join(map(str, a.parts)),
+                    "--rhs", ",".join(map(str, b.parts)), "--n", str(n),
+                )
+                assert code == 0
+                expected = dot_orbit_member(a, b, n, delta)
+                assert payload["same_dot_orbit"] == expected, (a, b, n, delta)
+                answers.add(expected)
+    assert answers == {True, False}
 
 
 def test_centrally_equivalent_command(capsys):
@@ -216,6 +257,37 @@ def test_verify_trivial_ranges(capsys):
     assert len(payload["checks"]) == 11
 
 
+def test_verify_runs_every_check_at_the_requested_size(capsys):
+    code, payload = run_json(capsys, "verify", "--max-size", "7", "--delta-min", "0", "--delta-max", "1")
+    assert code == 0 and payload["passed"] is True
+    sized = {c["name"]: c["scope"] for c in payload["checks"] if c["scope"].startswith("sizes<=")}
+    assert sized.pop("block-growth").startswith("sizes<=4,")
+    assert sorted(sized) == [
+        "bar-weight-vs-central-character", "key-consistency", "orbit-vs-dot-bfs",
+        "sequence-weight-bridge", "wedge-box-moves", "weight-class-split-counts",
+    ]
+    assert all(scope.startswith("sizes<=7,") for scope in sized.values())
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="block-growth looks for a second member within a fixed window of +16 boxes, "
+    "and the nearest one lies beyond it",
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # lam=[3] delta=-4: only 1 member(s) within size 19
+        ("--delta-min=-4", "--delta-max=-4"),
+        # lam=[] delta=8: the nearest second member has 18 boxes
+        ("--delta-min", "8", "--delta-max", "8", "--max-size", "0"),
+    ],
+)
+def test_block_growth_passes_on_a_correct_library(capsys, argv):
+    code, payload = run_json(capsys, "verify", *argv)
+    assert code == 0, [c["counterexample"] for c in payload["checks"] if not c["passed"]]
+
+
 def test_verify_fault_injection(capsys):
     code, payload = run_json(
         capsys,
@@ -280,6 +352,46 @@ def test_empty_delta_range_and_bad_jobs_exit_2(capsys):
 def test_verify_size_cap_exits_2(capsys):
     message = _usage_error(capsys, "verify", "--max-size", str(verify.SIZE_CAP + 1))
     assert message.endswith(f"--max-size above the cap {verify.SIZE_CAP}")
+
+
+def test_order_and_delta_range_caps_exit_2(capsys):
+    cap = str(cli.ORDER_CAP)
+    code, payload = run_json(capsys, "series-check", "--delta", "3", "--order", cap)
+    assert code == 0 and payload["passed"] is True
+    code, payload = run_json(
+        capsys, "verify", "--max-size", "0", "--delta-min", "1", "--delta-max", "1", "--order", cap
+    )
+    assert code == 0 and payload["passed"] is True
+    above = str(cli.ORDER_CAP + 1)
+    for argv in (
+        ("series-check", "--delta", "3", "--order", above),
+        ("verify", "--max-size", "0", "--order", above),
+    ):
+        assert _usage_error(capsys, *argv).endswith(f"--order above the cap {cli.ORDER_CAP}")
+    # the widest range runs; one more delta value is refused
+    last = str(cli.DELTA_COUNT_CAP - 1)
+    code, payload = run_json(
+        capsys, "verify", "--max-size", "0", "--delta-min", "0", "--delta-max", last, "--order", "0"
+    )
+    # block-growth's fixed window fails at some of these deltas (see the xfail test above)
+    assert [c["name"] for c in payload["checks"] if not c["passed"]] in ([], ["block-growth"])
+    message = _usage_error(
+        capsys, "verify", "--max-size", "0", "--delta-min=-1", "--delta-max", last, "--order", "0"
+    )
+    assert message.endswith(f"spans more than {cli.DELTA_COUNT_CAP} values")
+
+
+def test_the_parser_is_the_one_list_of_subcommands():
+    # every subcommand has a handler and a recorded golden case, and no
+    # golden case names a subcommand the parser lacks
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert all(callable(p.get_default("handler")) for p in sub.choices.values())
+    recorded = {
+        case["argv"][0]
+        for name in ("golden_cli.json", "golden_verify.json")
+        for case in json.loads((Path(__file__).parent / name).read_text())
+    }
+    assert set(sub.choices) == recorded
 
 
 def test_dot_orbit_negative_rank_exits_2(capsys):

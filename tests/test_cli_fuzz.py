@@ -2,9 +2,10 @@
 
 The grammar covers every subcommand with small arguments (delta a small
 integer, a fraction or junk; partitions of at most 6 parts, sometimes not
-descending; operator indices up to +-99999999999/2; ranks, orders and size
-bounds within a few units of their caps), plus stray ``--jobs`` and
-``--force`` flags.  Delta and the index are written ``--name=value``, so
+descending; operator indices up to +-99999999999/2; small ranks, orders,
+size bounds and delta ranges, and the ranks, orders and delta-range widths
+on both sides of the CLI's caps), plus stray ``--jobs`` and ``--force``
+flags.  Delta and the index are written ``--name=value``, so
 that negative fractions reach the library.  Each argv runs
 in-process with its streams redirected: the exit code must be 0, 1 or 2,
 stderr must hold no traceback, and on exit 0 or 1 stdout must be one JSON
@@ -18,7 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauerblocks.cli import main
+from brauerblocks.cli import DELTA_COUNT_CAP, ORDER_CAP, RANK_CAP, main
 
 JUNK = st.sampled_from(["x", "1/0", "", "2.5.1", "1e3", "--", "-"])
 
@@ -63,16 +64,29 @@ def _command(name, **kwargs):
     return _opts(**kwargs).map(lambda rest: [name, *rest])
 
 
-VERIFY = st.builds(
-    lambda size, lo, span, order, fault: [
+# small values, and the values at and just above each CLI cap
+ORDER = st.one_of(st.integers(-1, 8), st.sampled_from([ORDER_CAP, ORDER_CAP + 1]))
+RANK = st.one_of(st.integers(-1, 5), st.sampled_from([RANK_CAP, RANK_CAP + 1]))
+
+
+def _verify(size, lo, span, order, fault):
+    return [
         "verify", "--max-size", str(size), "--delta-min", str(lo), "--delta-max", str(lo + span),
         "--order", str(order), *(["--inject-fault"] if fault else []),
-    ],
-    st.integers(0, 2),
-    st.integers(-6, 7),
-    st.integers(-1, 1),
-    st.integers(0, 8),
-    st.booleans(),
+    ]
+
+
+# a wide delta range runs only at small orders: at the caps of both, verify takes seconds
+VERIFY = st.one_of(
+    st.builds(_verify, st.integers(0, 2), st.integers(-6, 7), st.integers(-1, 1), ORDER, st.booleans()),
+    st.builds(
+        _verify,
+        st.integers(0, 2),
+        st.integers(-6, 7),
+        st.sampled_from([DELTA_COUNT_CAP - 1, DELTA_COUNT_CAP]),
+        st.integers(0, 8),
+        st.booleans(),
+    ),
 )
 
 ARGV = st.one_of(
@@ -81,17 +95,17 @@ ARGV = st.one_of(
     _command("block", delta=DELTA, partition=PARTITION, max_size=st.integers(-1, 12).map(str)),
     _command("classify-weight-class", delta=DELTA, partition=PARTITION),
     _command("brauer-blocks", delta=DELTA, n=st.integers(-1, 10).map(str)),
-    _command("dot-orbit", delta=DELTA, lhs=PARTITION, rhs=PARTITION, n=st.integers(-1, 5).map(str)),
+    _command("dot-orbit", delta=DELTA, lhs=PARTITION, rhs=PARTITION, n=RANK.map(str)),
     _command("central-char", delta=DELTA, partition=PARTITION),
     _command("centrally-equivalent", delta=DELTA, lhs=PARTITION, rhs=PARTITION),
-    _command("series-check", delta=DELTA, order=st.integers(-1, 8).map(str)),
+    _command("series-check", delta=DELTA, order=ORDER.map(str)),
     _command(
         "wedge-apply", delta=DELTA, shape=PARTITION, index=INDEX, op=st.sampled_from(["b", "raising", "lowering"])
     ),
     VERIFY,
 )
 
-# stray flags: the removed --jobs (and --force, which only dot-orbit keeps) and a text format
+# stray flags: the removed --jobs and --force, and a text format
 STRAY = st.sampled_from([[], [], ["--jobs", "2"], ["--jobs", "0"], ["--force"], ["--format", "text"]])
 
 
