@@ -240,19 +240,17 @@ def dot_dominant(p: Partition, n: int, delta) -> tuple[int, ...]:
     return _dominant(_shifted_vector(p, n, d))
 
 
-def dot_orbit_member(a: Partition, b: Partition, n: int, delta, *, allow_large: bool = False) -> bool:
+def dot_orbit_member(a: Partition, b: Partition, n: int, delta) -> bool:
     """Brute-force oracle: is b + rho_n in the rank-n orbit of a + rho_n?
 
     Takes transposed-level labels (see the module docstring).  Ranks above
-    BFS_RANK_CAP are refused unless allow_large is set.
+    BFS_RANK_CAP are refused.
     """
     d = integral(delta, "the orbit oracle requires integral delta")
     if len(a.parts) > n or len(b.parts) > n:
         raise ValueError("partition length exceeds the rank n")
-    if n > BFS_RANK_CAP and not allow_large:
-        raise ValueError(
-            f"rank {n} exceeds the safety cap {BFS_RANK_CAP}; pass allow_large=True to override"
-        )
+    if n > BFS_RANK_CAP:
+        raise ValueError(f"rank {n} exceeds the safety cap {BFS_RANK_CAP}")
     va = _shifted_vector(a, n, d)
     vb = _shifted_vector(b, n, d)
     return vb in _orbit_closure(va)

@@ -35,8 +35,10 @@ class WedgeVector:
 
     def __init__(self, twice_charge: int, terms=None):
         self.twice_charge = twice_charge
+        # ints and Fractions stay as given; a float or a string "p/q" is read exactly
         self.terms: dict[Partition, int | Fraction] = {
-            shape: c for shape, c in (terms or {}).items() if c
+            shape: c if isinstance(c, (int, Fraction)) else Fraction(c)
+            for shape, c in (terms or {}).items() if c
         }
 
     @classmethod

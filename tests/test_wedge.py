@@ -130,6 +130,17 @@ def test_vector_arithmetic_and_json():
     ]
 
 
+def test_coefficients_other_than_int_or_fraction_are_read_exactly():
+    # a float or a string p/q becomes a Fraction once, so arithmetic stays
+    # exact and the vector serialises
+    vector = WedgeVector(0, {Partition((1,)): 0.5, Partition((2,)): "1/3"})
+    assert vector + vector == WedgeVector(0, {Partition((1,)): 1, Partition((2,)): Fraction(2, 3)})
+    assert wedge_vector_json(vector) == [
+        {"shape": [1], "twiceCharge": 0, "numerator": 1, "denominator": 2},
+        {"shape": [2], "twiceCharge": 0, "numerator": 1, "denominator": 3},
+    ]
+
+
 def _b_without_collisions(index, vector):
     # b_index with the collision rule dropped: in rows 1 .. length + 1 the
     # entry equal to index - 1/2 moves up and the entry equal to -index + 1/2
