@@ -8,15 +8,17 @@ permutation group; for non-integral delta the category is semisimple and
 every block is a single label.
 
 The point queries work in integer twice-units, with c2 = delta - 2, and
-return the OrbitKey in the same units.  They never build a
-transpose: sequences.transpose_profile, the one coding of the orbit rule,
-which the descent oracle below checks, reads the twice-key, negative count
-and zero flag of the transpose's sequence off the label's runs of equal
-rows.  For a label with r rows, same_block, block_key and
+return the OrbitKey in the same units.  They never build a transpose:
+sequences.transpose_profile, the one coding of the orbit rule for a
+single label, which the descent oracle below checks, reads the twice-key,
+negative count and zero flag of the transpose's sequence off the label's
+runs of equal rows.  For a label with r rows, same_block, block_key and
 same_block_report cost O(runs * log r + sum over runs of min(part, run
 length)); classify_weight_class costs that plus its output, the partner
-it writes in closed form.  brauer_algebra_blocks keys each generated part
-tuple the same way.
+it writes in closed form.  brauer_algebra_blocks takes its labels and
+their keys from sequences.label_keys, one walk over the partitions of
+size <= n that keys each label in O(1) from its parent, the label less
+its last row, by the same rule.
 
 Label conventions: the public operations (same_block, block_key,
 classify_weight_class, enumerate_block_members, brauer_algebra_blocks)
@@ -31,8 +33,8 @@ the rank-n generators: adjacent swaps and the negate-and-swap of the first
 two coordinates.  dot_dominant descends to the orbit's unique dominant
 vector in at most n(n-1) moves; the verify matrix and the dot-orbit CLI use
 it.  dot_orbit_member runs breadth-first search over the whole orbit, which
-is finite (at most 2^(n-1) n! vectors) but grows fast, so ranks above 8
-require an explicit override; it certifies the descent in tests.
+is finite (at most 2^(n-1) n! vectors) but grows fast, so ranks above
+BFS_RANK_CAP (8) are refused; it certifies the descent in tests.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import Partition, canonical_key, descending_partitions, integral
-from .sequences import OrbitKey, transpose_profile
+from .partitions import Partition, canonical_key, integral
+from .sequences import OrbitKey, label_keys, transpose_profile
 
 BFS_RANK_CAP = 8
 
@@ -164,16 +166,18 @@ def enumerate_block_members(lam: Partition, delta, max_size: int) -> list[Partit
 def brauer_algebra_blocks(n: int, delta) -> list[list[Partition]]:
     """Blocks of the rank-n Brauer algebra: the labels of sizes n, n-2, ...
     partitioned by the block relation, in canonical order.  Labels are
-    grouped on the integer orbit key of their transposes, read off each
-    generated part tuple before its Partition is built; groups keep the
-    order in which they are first met."""
+    grouped on the int key sequences.label_keys gives each in one walk;
+    groups keep the order in which they are first met."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     c2 = integral(delta, "Brauer-algebra blocks require integral delta") - 2
-    groups: dict[tuple, list[Partition]] = {}
-    for m in range(n % 2, n + 1, 2):
-        for parts in descending_partitions(m):
-            groups.setdefault(transpose_profile(c2, parts)[0], []).append(Partition(parts))
+    by_size: list[list] = [[] for _ in range(n + 1)]
+    for key, label in label_keys(c2, n):
+        by_size[label.size].append((key, label))
+    groups: dict[int, list[Partition]] = {}
+    for labelled in by_size[n % 2 :: 2]:
+        for key, label in labelled:
+            groups.setdefault(key, []).append(label)
     return list(groups.values())
 
 

@@ -65,6 +65,15 @@ class Partition:
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "size", sum(parts))
 
+    @classmethod
+    def _unchecked(cls, parts: tuple[int, ...], size: int) -> "Partition":
+        """The partition with `parts` and `size`, without the checks of
+        __init__: only for part tuples the library built valid itself."""
+        p = object.__new__(cls)
+        _PARTS.__set__(p, parts)
+        _SIZE.__set__(p, size)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
@@ -117,7 +126,11 @@ class Partition:
             if p > below:
                 out.extend([i] * (p - below))
                 below = p
-        return Partition(out)
+        return Partition._unchecked(tuple(out), self.size)
+
+
+# the slot descriptors, which write an instance's fields past __setattr__
+_PARTS, _SIZE = Partition.parts, Partition.size
 
 
 def canonical_key(p: Partition):
@@ -173,7 +186,7 @@ def descending_partitions(n: int):
 
 def partitions_of_size(n: int) -> list[Partition]:
     """All partitions of exactly n, lexicographically descending."""
-    return [Partition(p) for p in descending_partitions(n)]
+    return [Partition._unchecked(p, n) for p in descending_partitions(n)]
 
 
 def enumerate_partitions(max_size: int) -> list[Partition]:

@@ -192,12 +192,27 @@ def test_brauer_algebra_blocks_cover_labels():
 
 
 def test_brauer_algebra_blocks_equal_the_orbit_key_grouping():
-    for delta in range(-6, 9):
-        for n in range(15):
+    # at the wide deltas no two positions share an absolute value, so every
+    # position the walk can touch is a slot of its own
+    for delta in [*range(-6, 9), 999, -999, 10**6, -(10**6)]:
+        for n in range(17):
             grouped: dict = {}
             for m in range(n % 2, n + 1, 2):
                 for p in partitions_of_size(m):
                     grouped.setdefault(block_key(p, delta), []).append(p)
+            assert brauer_algebra_blocks(n, delta) == list(grouped.values()), (n, delta)
+
+
+def test_brauer_algebra_blocks_equal_the_descent_grouping():
+    # Cox, De Visscher and Martin: two labels of sizes n, n - 2, ... lie in
+    # one block of the rank-n Brauer algebra exactly when their transposes
+    # share a rank-n dot orbit, which the descent oracle decides
+    for delta in range(-6, 9):
+        for n in range(13):
+            grouped: dict = {}
+            for m in range(n % 2, n + 1, 2):
+                for p in partitions_of_size(m):
+                    grouped.setdefault(dot_dominant(p.transpose(), n, delta), []).append(p)
             assert brauer_algebra_blocks(n, delta) == list(grouped.values()), (n, delta)
 
 
@@ -242,6 +257,18 @@ def test_point_and_brauer_queries_never_transpose(monkeypatch):
             ) == expected[lam, delta]
             assert same_block(lam, lam, delta)
             assert same_block(lam, labels[3], delta) == expected[lam, delta][2]["same_block"]
+    assert {delta: brauer_algebra_blocks(8, delta) for delta in deltas} == brauer
+
+    # the blocks of the Brauer algebra neither re-key nor re-check a label
+    def refuse_key(*args):
+        raise AssertionError("keyed a label from scratch")
+
+    def refuse_check(self, parts=()):
+        raise AssertionError(f"checked {parts!r}")
+
+    monkeypatch.setattr("brauerblocks.blocks.transpose_profile", refuse_key)
+    monkeypatch.setattr("brauerblocks.sequences.transpose_profile", refuse_key)
+    monkeypatch.setattr(Partition, "__init__", refuse_check)
     assert {delta: brauer_algebra_blocks(8, delta) for delta in deltas} == brauer
 
 

@@ -13,6 +13,7 @@ from brauerblocks.partitions import (
     partitions_of_size,
     twice,
 )
+from brauerblocks.sequences import label_keys
 
 
 def test_parse_basic():
@@ -51,6 +52,20 @@ def test_transpose_involution_and_size():
         assert t.parts == _transpose_by_definition(lam)
         assert t.transpose() == lam
         assert t.size == lam.size
+
+
+def test_built_labels_equal_checked_ones():
+    # partitions_of_size, transpose and the key walk skip the checks of
+    # __init__; what they build must equal the checked partition
+    labels = enumerate_partitions(12)
+    built = labels + [lam.transpose() for lam in labels]
+    built += [label for n in (11, 12) for _, label in label_keys(0, n)]
+    assert sorted(built, key=canonical_key) == sorted(labels * 3, key=canonical_key)
+    for lam in built:
+        checked = Partition(lam.parts)
+        assert (lam.parts, lam.size, hash(lam)) == (checked.parts, checked.size, hash(checked))
+        assert lam == checked and checked == lam
+        assert lam.transpose().transpose() == lam
 
 
 def test_contents_examples():
