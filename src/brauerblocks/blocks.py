@@ -39,6 +39,7 @@ BFS_RANK_CAP (8) are refused; it certifies the descent in tests.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -171,13 +172,26 @@ def brauer_algebra_blocks(n: int, delta) -> list[list[Partition]]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     c2 = integral(delta, "Brauer-algebra blocks require integral delta") - 2
-    by_size: list[list] = [[] for _ in range(n + 1)]
-    for key, label in label_keys(c2, n):
-        by_size[label.size].append((key, label))
-    groups: dict[int, list[Partition]] = {}
-    for labelled in by_size[n % 2 :: 2]:
-        for key, label in labelled:
-            groups.setdefault(key, []).append(label)
+    # The walk leaves a few objects per label alive and makes no cycles, so
+    # the cyclic collector finds nothing in it.  Left on, it would run every
+    # few hundred labels, and at times a full collection over everything
+    # else the process holds would fall inside the call, costing as much as
+    # the walk itself.  So it is paused for the walk, and the young objects
+    # are collected once at the end, at a cost set by n alone.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        by_size: list[list] = [[] for _ in range(n + 1)]
+        for key, label in label_keys(c2, n):
+            by_size[label.size].append((key, label))
+        groups: dict[int, list[Partition]] = {}
+        for labelled in by_size[n % 2 :: 2]:
+            for key, label in labelled:
+                groups.setdefault(key, []).append(label)
+    finally:
+        if collecting:
+            gc.enable()
+            gc.collect(0)
     return list(groups.values())
 
 

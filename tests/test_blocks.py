@@ -1,3 +1,4 @@
+import gc
 import re
 from fractions import Fraction
 
@@ -214,6 +215,33 @@ def test_brauer_algebra_blocks_equal_the_descent_grouping():
                 for p in partitions_of_size(m):
                     grouped.setdefault(dot_dominant(p.transpose(), n, delta), []).append(p)
             assert brauer_algebra_blocks(n, delta) == list(grouped.values()), (n, delta)
+
+
+def test_brauer_algebra_blocks_hold_off_the_cyclic_collector():
+    # the walk leaves about 3 000 objects alive at n = 18, past the collector's
+    # threshold of 700, yet the only collection inside it is the one young
+    # collection it runs at the end; a caller's disabled collector stays off
+    expected = brauer_algebra_blocks(18, 2)
+    seen = []
+
+    def note(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    gc.callbacks.append(note)
+    try:
+        assert brauer_algebra_blocks(18, 2) == expected
+        assert seen == [0]
+        seen.clear()
+        gc.disable()
+        try:
+            assert brauer_algebra_blocks(18, 2) == expected
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert seen == []
+    finally:
+        gc.callbacks.remove(note)
 
 
 def test_point_and_brauer_queries_never_transpose(monkeypatch):
