@@ -11,7 +11,10 @@ with c running over the delta-shifted contents of the boxes.  Every factor
 is linear with a rational root, so a product is stored as a nonzero
 rational constant together with a root -> exponent map; equality of
 characters is componentwise equality of the canonical forms and never
-expands a polynomial.
+expands a polynomial.  :func:`central_character` sums the exponents on a
+label's runs of equal rows, with every root scaled to an int (see its
+docstring), and builds Fractions only for the distinct roots it returns;
+:func:`centrally_equivalent` compares the int exponent maps.
 
 The parameter sequence of the Brauer specialisation is
 gamma_a = delta * ((delta-1)/2)**a.  Its generating series
@@ -23,8 +26,10 @@ Laurent series.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 
 from .partitions import HALF, Partition
 
@@ -112,39 +117,69 @@ def gamma_factor(content) -> FactoredRational:
     return FactoredRational.from_parts(Fraction(1), factor_map)
 
 
+def _root_exponents(parts: tuple[int, ...], a: int, b: int) -> dict[int, int]:
+    """The exponents of the central character at delta = a/b (lowest terms,
+    b > 0), keyed by the int 2b * root and with zeros dropped; see
+    :func:`central_character`."""
+    step = 2 * b
+    base = a - b  # B = 2b * (delta - 1)/2
+    length = len(parts)
+    end = step * length
+    exps = {b: 1, -b: 1}
+    get = exps.get
+    for root, e in ((base, 1), (base - end, -1), (end - base, 1), (-base, -1)):
+        exps[root] = get(root, 0) + e
+    i = 0
+    while i < length:
+        m = parts[i]
+        j = i + 1  # the run is rows i+1..j; a run of one row needs no search
+        if j < length and parts[j] == m:
+            j = bisect_right(parts, -m, j + 1, key=neg)
+        root = base + step * (m - j)
+        exps[root] = get(root, 0) + 1
+        root = base + step * (m - i)
+        exps[root] = get(root, 0) - 1
+        root = step * (i - m) - base
+        exps[root] = get(root, 0) + 1
+        root = step * (j - m) - base
+        exps[root] = get(root, 0) - 1
+        i = j
+    return {root: e for root, e in exps.items() if e}
+
+
 def central_character(lam: Partition, delta) -> FactoredRational:
     """Scalar by which the central series acts on the standard module of lam,
     fully cancelled; the constant is always -1.
 
-    Row i carries the consecutive contents a..b with a = base + 1 - i and
-    b = base + lam_i - i, and over that run the gamma product telescopes to
+    Row i carries the consecutive contents lo..hi with lo = base + 1 - i
+    and hi = base + lam_i - i (base = (delta - 1)/2), and over that row the
+    gamma product telescopes to
 
-        (u+a-1)(u+b+1)(u-a)(u-b) / ((u+a)(u+b)(u-a+1)(u-b-1)),
+        (u+lo-1)(u+hi+1)(u-lo)(u-hi) / ((u+lo)(u+hi)(u-lo+1)(u-hi-1)).
 
-    so each row adds 8 linear factors.  Every root is +base + k or -base + k
-    for an integer k; exponents are summed on those integer offsets and only
-    the distinct roots become Fractions, giving O(rows + F log F) for F
-    distinct roots."""
-    base = (Fraction(delta) - 1) / 2
-    plus: dict[int, int] = {}  # exponent of the root base + k, keyed by k
-    minus: dict[int, int] = {}  # exponent of the root -base + k, keyed by k
-    for i, part in enumerate(lam.parts, 1):
-        p, q = 1 - i, part - i  # a = base + p, b = base + q
-        for k, e in ((p, 1), (q, 1), (q + 1, -1), (p - 1, -1)):
-            plus[k] = plus.get(k, 0) + e
-        for k, e in ((1 - p, 1), (-q - 1, 1), (-q, -1), (-p, -1)):
-            minus[k] = minus.get(k, 0) + e
-    factor_map: dict[Fraction, int] = {HALF: 1, -HALF: 1}
-    for sign, offsets in ((1, plus), (-1, minus)):
-        for k, e in offsets.items():
-            if e:
-                root = sign * base + k
-                factor_map[root] = factor_map.get(root, 0) + e
-    return FactoredRational.from_parts(Fraction(-1), factor_map)
+    Write delta = a/b in lowest terms and scale every root by 2b: each root
+    becomes an int N, the fixed factors (u -+ 1/2) sit at N = +-b, and base
+    becomes B = a - b.  The factors of row i that do not depend on its part
+    telescope over all l rows to +1 at B, -1 at B - 2bl, +1 at -B + 2bl and
+    -1 at -B.  Those that do telescope over each run of rows i..j (1-based)
+    equal to m, to +1 at B + 2b(m-j), -1 at B + 2b(m-i+1), +1 at
+    -B + 2b(i-1-m) and -1 at -B + 2b(j-m).  So a label with r rows costs
+    O(runs * log r) in ints, with one Fraction N/(2b) per distinct root,
+    built in sorted-N order, which is sorted-root order."""
+    q = Fraction(delta)
+    scale = 2 * q.denominator
+    exps = _root_exponents(lam.parts, q.numerator, q.denominator)
+    return FactoredRational(
+        Fraction(-1), tuple((Fraction(root, scale), e) for root, e in sorted(exps.items()))
+    )
 
 
 def centrally_equivalent(lam: Partition, mu: Partition, delta) -> bool:
-    return central_character(lam, delta) == central_character(mu, delta)
+    """Whether lam and mu have one central character: the two int exponent
+    maps of :func:`central_character` are compared, and no Fraction is built."""
+    q = Fraction(delta)
+    a, b = q.numerator, q.denominator
+    return _root_exponents(lam.parts, a, b) == _root_exponents(mu.parts, a, b)
 
 
 def weight_of_rational(f: FactoredRational) -> dict[Fraction, int]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -33,11 +34,18 @@ from .sequences import make_sequence
 from .wedge import WedgeVector, apply_b, apply_lowering, apply_raising, wedge_vector_json
 
 
+# an integer or p/q; Fraction() would also read decimal and exponent forms,
+# whose values (1e50000000) outgrow their text
+RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _fraction_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        if RATIONAL.fullmatch(text):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer or a fraction p/q") from None
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not an integer or a fraction p/q")
 
 
 def _partition_arg(text: str) -> Partition:

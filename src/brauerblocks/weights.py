@@ -13,42 +13,40 @@ Two alpha-parts represent the same class modulo the sublattice spanned by
 alpha_i + alpha_{-i} (i > 0), together with 2*alpha_0 when the index 0
 occurs (delta odd), exactly when their :class:`SymWeight` reductions agree:
 the reduction keeps r_t = v(t) - v(-t) for t > 0 plus the parity of v(0).
-:func:`same_bar_weight` applies that reduction to the difference of two
-content counts, without building either dict, in O(rows + width + length)
-per label.  Only :func:`alpha_in_omega` keeps Fractions: it is compared
-with the rational roots of central characters.
+:func:`same_bar_weight` decides whether that reduction of the difference
+of two content counts vanishes without building either count: it reads
+the centred second differences of the counts off each label's runs of
+equal rows, in O(runs * log rows) per label.  Only :func:`alpha_in_omega`
+keeps Fractions: it is compared with the rational roots of central
+characters.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import neg
 
 from .partitions import Partition, half, integral
-
-
-def _content_counts(lam: Partition) -> tuple[int, list[int]]:
-    """(lo, counts): counts[i] boxes of content lo + i, for every content
-    from lo = 1 - length to width - 1.
-
-    Row i covers the contents 1 - i .. lam_i - i, so a difference array
-    counts every content in O(rows + width + length)."""
-    lo = 1 - len(lam)
-    diff = [0] * (lam.part(1) - lo + 1)
-    for i, part in enumerate(lam.parts, 1):
-        diff[1 - i - lo] += 1
-        diff[part - i + 1 - lo] -= 1
-    return lo, list(accumulate(diff[:-1]))
 
 
 def weight_alpha_part(lam: Partition, delta) -> dict[int, int]:
     """Box count per twice shifted content t = delta - 1 + 2 * content; the
     weight of lam is the shared fundamental weight minus the sum of
-    coeffs[t] * alpha_(t/2).  Keys come out in increasing order."""
+    coeffs[t] * alpha_(t/2).  Keys come out in increasing order.
+
+    Row i covers the contents 1 - i .. lam_i - i, so a difference array
+    over the contents lo = 1 - length .. width - 1 counts them all in
+    O(rows + width + length), the size of the output."""
     d = integral(delta, "weights require integral delta")
-    lo, counts = _content_counts(lam)
-    return {d - 1 + 2 * k: c for k, c in enumerate(counts, lo)}
+    lo = 1 - len(lam)
+    diff = [0] * (lam.part(1) - lo + 1)
+    for i, part in enumerate(lam.parts, 1):
+        diff[1 - i - lo] += 1
+        diff[part - i + 1 - lo] -= 1
+    return {d - 1 + 2 * k: c for k, c in enumerate(accumulate(diff[:-1]), lo)}
 
 
 def vector_sum(u: dict, v: dict) -> dict:
@@ -96,27 +94,58 @@ def reduce_mod_qtheta(v: dict, delta) -> SymWeight:
     return SymWeight(entries, zero_parity)
 
 
+def _bar_masses(masses: dict[int, int], parts: tuple[int, ...], h: int, sign: int) -> int:
+    """Add sign times the centred second difference of the label's box count
+    per twice-index t = h + 2 * content into masses; return the number of
+    boxes at t = 0 (zero when h is odd).
+
+    A run of rows i..j (1-based) equal to m covers the contents 1-k..m-k of
+    each row k, and contributes the masses +1 at content -j, -1 at 1-i, -1
+    at m-j and +1 at m-i+1.  The first two telescope over the runs to +1 at
+    -l and -1 at 0 for a label of l rows.  The content c0 = -h/2 sits in
+    the rows k of the run with 1 - c0 <= k <= m - c0."""
+    get = masses.get
+    length = len(parts)
+    t = h - 2 * length
+    masses[t] = get(t, 0) + sign
+    masses[h] = get(h, 0) - sign
+    c0 = -h // 2
+    zero = 0
+    i = 0
+    while i < length:
+        m = parts[i]
+        j = i + 1  # the run is rows i+1..j; a run of one row needs no search
+        if j < length and parts[j] == m:
+            j = bisect_right(parts, -m, j + 1, key=neg)
+        t = h + 2 * (m - j)
+        masses[t] = get(t, 0) - sign
+        t = h + 2 * (m - i)
+        masses[t] = get(t, 0) + sign
+        if h % 2 == 0:
+            first = i + 1 if i + c0 >= 0 else 1 - c0
+            last = j if j <= m - c0 else m - c0
+            if last >= first:
+                zero += last - first + 1
+        i = j
+    return zero
+
+
 def same_bar_weight(lam: Partition, mu: Partition, delta) -> bool:
     """Whether the weights of lam and mu agree modulo the symmetrised sublattice.
 
-    The signed difference of the two content counts is reduced on integer
-    twice-indices t = delta - 1 + 2 * content: pos[|t|] gains the count at
-    t > 0 and loses it at t < 0, and index 0 (odd delta only) keeps its
-    parity, as in :func:`reduce_mod_qtheta`."""
-    d = integral(delta, "weights require integral delta")
-    pos: dict[int, int] = {}
-    zero = 0
-    for sign, label in ((1, lam), (-1, mu)):
-        lo, counts = _content_counts(label)
-        for k, c in enumerate(counts, lo):
-            t = d - 1 + 2 * k
-            if t > 0:
-                pos[t] = pos.get(t, 0) + sign * c
-            elif t < 0:
-                pos[-t] = pos.get(-t, 0) - sign * c
-            else:
-                zero += sign * c
-    return zero % 2 == 0 and not any(pos.values())
+    Let F(t) be the box count of lam less that of mu at the twice-index
+    t = delta - 1 + 2 * content.  The reduction of :func:`reduce_mod_qtheta`
+    vanishes exactly when G(t) = F(t) - F(-t) is zero and, for odd delta,
+    F(0) is even.  G has finite support on one parity class, so it is zero
+    exactly when its centred second difference D2G (step 2 in t) is, and
+    D2G(t) = D2F(t) - D2F(-t): the masses of D2F must be symmetric under
+    t -> -t.  :func:`_bar_masses` reads them, and the count at t = 0, off
+    each label's runs of equal rows in O(runs * log rows), with no content
+    array."""
+    h = integral(delta, "weights require integral delta") - 1
+    masses: dict[int, int] = {}
+    zero = _bar_masses(masses, lam.parts, h, 1) - _bar_masses(masses, mu.parts, h, -1)
+    return zero % 2 == 0 and all(masses.get(-t, 0) == e for t, e in masses.items())
 
 
 def alpha_in_omega(i) -> dict[Fraction, int]:

@@ -193,18 +193,21 @@ def test_per_row_character_equals_per_box_fold():
             assert central_character(lam, delta) == _per_box_character(lam, delta), (lam, delta)
 
 
-def _defining_one_row(width: int, delta, u: Fraction) -> Fraction:
-    # the telescoped gamma product over one row with contents a..b
-    a = Fraction(delta - 1, 2)
-    b = a + width - 1
+def _defining_run(a: Fraction, b: Fraction, u: Fraction) -> Fraction:
+    # the telescoped gamma product over the consecutive contents a..b
     value = (H - u) * (H + u)
     value *= (u + a - 1) * (u + b + 1) * (u - a) * (u - b)
     return value / ((u + a) * (u + b) * (u - a + 1) * (u - b - 1))
 
 
 def test_character_cost_follows_rows_not_boxes():
+    base = Fraction(2 - 1, 2)
+    u = Fraction(1, 3)
     char = central_character(Partition((10**11,)), 2)
     assert char.constant == -1
     assert len(char.factors) <= 8 + 2
-    assert char.evaluate(Fraction(1, 3)) == _defining_one_row(10**11, 2, Fraction(1, 3))
-
+    assert char.evaluate(u) == _defining_run(base, base + 10**11 - 1, u)
+    # a column of 10**6 rows is one run: its contents base - 10**6 + 1 .. base
+    char = central_character(Partition((1,) * 10**6), 2)
+    assert len(char.factors) <= 8 + 2
+    assert char.evaluate(u) == _defining_run(base - 10**6 + 1, base, u)

@@ -212,6 +212,26 @@ def test_negative_fractions_need_the_equals_form(capsys):
         assert _usage_error(capsys, *argv).endswith("expected one argument")
 
 
+def test_delta_and_index_read_integers_and_fractions_only(capsys):
+    # Fraction() would read 1e50000000 as an int of 50 million digits
+    for value in ("1e50000000", "0.5", "2.5e0"):
+        for argv in (
+            ("central-char", f"--delta={value}", "--partition", "1"),
+            ("wedge-apply", "--delta", "2", "--shape", "1", f"--index={value}"),
+        ):
+            started = time.perf_counter()
+            with pytest.raises(SystemExit) as err:
+                main(list(argv))
+            assert time.perf_counter() - started < 1
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            errors = [line for line in captured.err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and errors[0].endswith(f"{value!r} is not an integer or a fraction p/q")
+    code, payload = run_json(capsys, "central-char", "--delta=+7/2", "--partition", "1")
+    assert code == 0 and payload["delta"] == "7/2"
+
+
 def test_wedge_apply_on_huge_indices_is_cheap(capsys):
     # a tail entry far beyond the shape collides with its neighbour; the
     # collision is found without padding the shape out to the entry

@@ -1,13 +1,14 @@
 """CLI fuzz test: every argv from a bounded grammar gets a contracted outcome.
 
 The grammar covers every subcommand with small arguments (delta a small
-integer, a fraction or junk; partitions of at most 6 parts, sometimes not
-descending; operator indices up to +-99999999999/2; small ranks, orders,
-size bounds and delta ranges, and the ranks, orders and delta-range widths
-on both sides of the CLI's caps), plus stray ``--jobs`` and ``--force``
-flags.  Delta and the index are written ``--name=value``, so
-that negative fractions reach the library.  Each argv runs
-in-process with its streams redirected: the exit code must be 0, 1 or 2,
+integer, a fraction, junk, or a decimal, exponent or 5,000-digit form;
+partitions of at most 6 parts, sometimes not descending; operator indices
+up to +-99999999999/2, junk or the same outsized forms; small ranks,
+orders, size bounds and delta ranges, and the ranks, orders and
+delta-range widths on both sides of the CLI's caps), plus stray
+``--jobs`` and ``--force`` flags.  Delta and the index are written
+``--name=value``, so that negative fractions reach the library.  Each argv
+runs in-process with its streams redirected: the exit code must be 0, 1 or 2,
 stderr must hold no traceback, and on exit 0 or 1 stdout must be one JSON
 document (or non-empty text under ``--format text``).
 """
@@ -23,10 +24,15 @@ from brauerblocks.cli import DELTA_COUNT_CAP, ORDER_CAP, RANK_CAP, main
 
 JUNK = st.sampled_from(["x", "1/0", "", "2.5.1", "1e3", "--", "-"])
 
+# forms Fraction() reads but the CLI refuses (a huge exponent, a decimal), and
+# an integer longer than Python's default int-to-string limit of 4300 digits
+OUTSIZED = st.sampled_from(["1e50000000", "0.5", "9" * 5000])
+
 DELTA = st.one_of(
     st.integers(-6, 8).map(str),
     st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(1, 4)),
     JUNK,
+    OUTSIZED,
 )
 
 PARTITION = st.one_of(
@@ -39,6 +45,7 @@ INDEX = st.one_of(
     st.integers(-10, 10).map(lambda t: str(t // 2) if t % 2 == 0 else f"{t}/2"),
     st.sampled_from(["99999999999/2", "-99999999999/2"]),
     JUNK,
+    OUTSIZED,
 )
 
 # After a space argparse reads a negative fraction such as -7/2 as an unknown
