@@ -14,11 +14,13 @@ single label, which the descent oracle below checks, reads the twice-key,
 negative count and zero flag of the transpose's sequence off the label's
 runs of equal rows.  For a label with r rows, same_block, block_key and
 same_block_report cost O(runs * log r + sum over runs of min(part, run
-length)); classify_weight_class costs that plus its output, the partner
-it writes in closed form.  brauer_algebra_blocks takes its labels and
-their keys from sequences.label_keys, one walk over the partitions of
-size <= n that keys each label in O(1) from its parent, the label less
-its last row, by the same rule.
+length)).  classify_weight_class needs only the zero flag, which
+sequences.transpose_has_zero finds by one binary search over the rows, and
+writes the partner in closed form one run of rows at a time, so it costs
+O(runs * log r) plus a C-level copy of its output.  brauer_algebra_blocks
+takes its labels and their keys from sequences.label_keys, one walk over
+the partitions of size <= n that keys each label in O(1) from its parent,
+the label less its last row, by the same rule.
 
 Label conventions: the public operations (same_block, block_key,
 classify_weight_class, enumerate_block_members, brauer_algebra_blocks)
@@ -40,12 +42,14 @@ BFS_RANK_CAP (8) are refused; it certifies the descent in tests.
 from __future__ import annotations
 
 import gc
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import neg
 
 from .partitions import Partition, canonical_key, integral
-from .sequences import OrbitKey, label_keys, transpose_profile
+from .sequences import OrbitKey, label_keys, transpose_has_zero, transpose_profile
 
 BFS_RANK_CAP = 8
 
@@ -62,12 +66,14 @@ def same_block(lam: Partition, mu: Partition, delta) -> bool:
     size-parity short circuit is sound because every orbit move preserves
     the shape size modulo 2; otherwise the transposes' twice-keys decide.
     """
-    d = Fraction(delta)
-    if d.denominator != 1:
-        return lam == mu
+    if type(delta) is not int:
+        d = Fraction(delta)
+        if d.denominator != 1:
+            return lam == mu
+        delta = d.numerator
     if (lam.size - mu.size) % 2 != 0:
         return False
-    c2 = d.numerator - 2
+    c2 = delta - 2
     return transpose_profile(c2, lam.parts)[0] == transpose_profile(c2, mu.parts)[0]
 
 
@@ -96,16 +102,27 @@ def classify_weight_class(lam: Partition, delta) -> BlockClassification:
     e1 = c2 + 2 - 2 len(lam), and the moved tail entry c2 + 2k is the first
     one past the window (k > lam_1) with c2 + 2k > max(0, -e1).  The
     partner's transpose is then (c2 + 1 + k, lam^t + 1, 1, ..., 1) with k
-    parts, so the partner is (k, lam + 1, 1, ..., 1) with c2 + k + 1 parts,
-    read off lam without a scan; the zero test is the zero flag of
-    transpose_profile."""
+    parts, so the partner is (k, lam + 1, 1, ..., 1) with c2 + k + 1 parts
+    and |lam| + 2k + c2 boxes, written one run of equal rows of lam at a
+    time; the zero test is one binary search, sequences.transpose_has_zero."""
     d = integral(delta, "weight-class classification requires integral delta")
     c2 = d - 2
-    if d % 2 != 0 or transpose_profile(c2, lam.parts)[2]:
+    parts = lam.parts
+    if d % 2 != 0 or transpose_has_zero(c2, parts):
         return BlockClassification(split=False)
-    e1 = c2 + 2 - 2 * len(lam)
-    k = max(lam.part(1) + 1, (max(0, -e1) - c2) // 2 + 1)
-    partner = Partition([k, *(p + 1 for p in lam.parts)] + [1] * (c2 + k - len(lam)))
+    length = len(parts)
+    k = max(lam.part(1) + 1, (max(0, 2 * length - d) - c2) // 2 + 1)
+    out = [k]
+    i = 0
+    while i < length:
+        p = parts[i]
+        j = i + 1  # the run is rows i+1..j; a run of one row needs no search
+        if j < length and parts[j] == p:
+            j = bisect_right(parts, -p, j + 1, key=neg)
+        out += [p + 1] * (j - i)
+        i = j
+    out += [1] * (c2 + k - length)
+    partner = Partition._unchecked(tuple(out), lam.size + 2 * k + c2)
     return BlockClassification(split=True, partner=partner)
 
 

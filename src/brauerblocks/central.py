@@ -104,9 +104,6 @@ def _factor_str(root: Fraction, exponent: int) -> str:
     return base if exponent == 1 else f"{base}^{exponent}"
 
 
-ONE = FactoredRational(Fraction(1), ())
-
-
 def gamma_factor(content) -> FactoredRational:
     """Canonical factored form of gamma_c(u); the four quadratics split into
     linear factors with roots -c+1, -c-1, c (double) over c+1, c-1, -c (double)."""

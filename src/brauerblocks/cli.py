@@ -43,8 +43,14 @@ def _fraction_arg(text: str) -> Fraction:
     try:
         if RATIONAL.fullmatch(text):
             return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except ZeroDivisionError:
         pass
+    except ValueError:
+        # the one ValueError a matched text meets: more digits than the limit
+        limit = sys.get_int_max_str_digits()
+        raise argparse.ArgumentTypeError(
+            f"'{text[:20]}...' has an integer of more than {limit} digits, Python's int-to-string limit"
+        ) from None
     raise argparse.ArgumentTypeError(f"{text!r} is not an integer or a fraction p/q")
 
 

@@ -44,6 +44,8 @@ def twice(value) -> int:
 
 def integral(value, message: str) -> int:
     """value as an int; raises ValueError(message) unless it is an integer."""
+    if type(value) is int:  # as it is; a bool and the rest go through Fraction
+        return value
     q = Fraction(value)
     if q.denominator != 1:
         raise ValueError(message)

@@ -24,9 +24,11 @@ wildcard for the zero-entry case, together with the negative-entry count
 and the zero flag.  It takes the *transpose* of the shape, the module
 label of the block layer, and reads the sequence off that label's runs of
 equal rows, for a label with r rows in O(runs * log r + sum over runs of
-min(part, run length)).  Callers that hold a label read its negative-entry
-count and zero flag from it directly; :func:`orbit_twice_key`,
-:func:`orbit_key` and :func:`same_orbit` call it on the shape's transpose.
+min(part, run length)); :func:`transpose_has_zero` reads the zero flag
+alone, by one binary search over the rows.  Callers that hold a label read
+its negative-entry count and zero flag from it directly;
+:func:`orbit_twice_key`, :func:`orbit_key` and :func:`same_orbit` call it
+on the shape's transpose.
 For all labels up to a size at once, :func:`label_keys` applies the same
 rule one row at a time, along one walk over the labels.  The
 reflection-descent oracle in ``blocks`` checks both independently.
@@ -38,7 +40,7 @@ Fractions appear only at the public edge, in a :class:`ChargedSequence`
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
@@ -137,11 +139,17 @@ def transpose_profile(c2: int, parts: tuple[int, ...]) -> tuple[tuple, int, bool
         b = bisect_right(parts, -p, a + 1, key=neg)  # the run is rows a+1..b
         m = p if p < b - a else b - a
         added, removed = h - 2 * b, h + 2 * (p - a - 1)
-        for j in range(0, 2 * m, 2):
-            v = abs(added + j)
+        if m == 1:
+            v = abs(added)
             dev[v] = dev.get(v, 0) + 1
-            v = abs(removed - j)
+            v = abs(removed)
             dev[v] = dev.get(v, 0) - 1
+        else:
+            for j in range(0, 2 * m, 2):
+                v = abs(added + j)
+                dev[v] = dev.get(v, 0) + 1
+                v = abs(removed - j)
+                dev[v] = dev.get(v, 0) - 1
         s = p - t  # row s removes x = t; rows below it remove x < t
         if s <= b:
             removed_negatives += b - (s if s > a else a)
@@ -150,7 +158,22 @@ def transpose_profile(c2: int, parts: tuple[int, ...]) -> tuple[tuple, int, bool
         a = b
     negatives = max(0, t + length) - removed_negatives
     parity = WILDCARD if zero else negatives % 2
-    return (tuple(sorted((v, c) for v, c in dev.items() if c)), parity), negatives, zero
+    return (tuple(sorted([(v, c) for v, c in dev.items() if c])), parity), negatives, zero
+
+
+def transpose_has_zero(c2: int, parts: tuple[int, ...]) -> bool:
+    """The zero flag of :func:`transpose_profile` alone, by one binary
+    search over the rows.  Row i removes x = parts_i - i, which strictly
+    decreases in i, so the entry at x = t vanishes exactly when c2 is even,
+    t >= -len(parts) and no row removes x = t."""
+    h = c2 + 2
+    t = -(h // 2)
+    length = len(parts)
+    if h % 2 != 0 or t < -length:
+        return False
+    # j is the first row, 0-based, whose x is at most t
+    j = bisect_left(range(length), -t, key=lambda j: j + 1 - parts[j])
+    return j == length or parts[j] - j - 1 != t
 
 
 def label_keys(c2: int, n: int):

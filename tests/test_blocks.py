@@ -1,4 +1,5 @@
 import gc
+import random
 import re
 from fractions import Fraction
 
@@ -20,8 +21,15 @@ from brauerblocks.blocks import (
     sector_charge,
 )
 from brauerblocks.partitions import Partition, enumerate_partitions, partitions_of_size
-from brauerblocks.sequences import WILDCARD, make_sequence, same_orbit, shape_from_entries, transpose_profile
-from brauerblocks.weights import same_bar_weight
+from brauerblocks.sequences import (
+    WILDCARD,
+    make_sequence,
+    same_orbit,
+    shape_from_entries,
+    transpose_has_zero,
+    transpose_profile,
+)
+from brauerblocks.weights import reduce_mod_qtheta, same_bar_weight, weight_alpha_part
 
 EMPTY = Partition()
 
@@ -134,6 +142,71 @@ def test_classify_equals_the_tail_walk():
         for lam in big:
             cls = classify_weight_class(lam, delta)
             assert (cls.split, cls.partner) == _tail_walk_classify(lam, delta), (lam.parts[:3], delta)
+
+
+def _seeded_labels(rng: random.Random, low: int, high: int, count: int) -> list[Partition]:
+    # count rounds of a hook, a column, a row, a rectangle and a label of a
+    # few long runs, each of between low and high boxes
+    labels = []
+    for _ in range(count):
+        n = rng.randint(low, high)
+        a = rng.randint(1, n - 1)
+        side = rng.randint(2, int(n**0.5))
+        labels += [Partition([a] + [1] * (n - a)), Partition([1] * n), Partition([n])]
+        labels.append(Partition([side] * (n // side)))
+        parts: list[int] = []
+        while n:
+            p = min(n, rng.randint(1, parts[-1]) if parts else 2 * side)
+            run = min(n // p, rng.randint(1, 2 * side))
+            parts += [p] * run
+            n -= p * run
+        labels.append(Partition(parts))
+    return labels
+
+
+def _run_edge_deltas(parts: tuple[int, ...]) -> set[int]:
+    # the deltas that put t = -(delta // 2) at x = parts_i - i for the first
+    # and the last row i of each run of equal rows, at one step either side,
+    # and at the window's end x = -len(parts), odd and even
+    xs = [-len(parts)]
+    for i, p in enumerate(parts, 1):
+        if i == 1 or i == len(parts) or parts[i - 2] != p or parts[i] != p:
+            xs.append(p - i)
+    return {-2 * (x + step) + odd for x in xs for step in (-1, 0, 1) for odd in (0, 1)}
+
+
+def test_zero_search_equals_the_profile_flag_at_scale():
+    rng = random.Random(20090101)
+    labels = _seeded_labels(rng, 100, 10**4, 8)
+    labels += [Partition([50] * 200), Partition([100] * 100), Partition([5000] + [1] * 5000)]
+    hits = 0
+    for lam in labels:
+        for delta in _run_edge_deltas(lam.parts):
+            zero = transpose_profile(delta - 2, lam.parts)[2]
+            assert transpose_has_zero(delta - 2, lam.parts) == zero, (lam.parts[:3], len(lam), delta)
+            hits += not zero and delta % 2 == 0 and -(delta // 2) >= -len(lam)
+    # the search has to find a row that removes x = t, not only miss them
+    assert hits > len(labels)
+
+
+def test_split_partners_share_the_bar_weight_in_another_dot_orbit():
+    # Cox, De Visscher and Martin: two labels lie in one block exactly when
+    # their transposes share a dot orbit, at a rank that holds both
+    rng = random.Random(13)
+    labels = _seeded_labels(rng, 50, 200, 3)
+    splits = 0
+    for lam in labels:
+        for delta in (-6, -2, 0, 2, 4, 8):
+            partner = classify_weight_class(lam, delta).partner
+            if partner is None:
+                continue
+            splits += 1
+            assert partner.size == sum(partner.parts)
+            bar = reduce_mod_qtheta(weight_alpha_part(lam, delta), delta)
+            assert reduce_mod_qtheta(weight_alpha_part(partner, delta), delta) == bar, (lam, delta)
+            rank = max(lam.part(1), partner.part(1))
+            assert dot_dominant(lam.transpose(), rank, delta) != dot_dominant(partner.transpose(), rank, delta)
+    assert splits > len(labels)
 
 
 def test_enumerate_block_members_examples():
@@ -287,17 +360,28 @@ def test_point_and_brauer_queries_never_transpose(monkeypatch):
             assert same_block(lam, labels[3], delta) == expected[lam, delta][2]["same_block"]
     assert {delta: brauer_algebra_blocks(8, delta) for delta in deltas} == brauer
 
-    # the blocks of the Brauer algebra neither re-key nor re-check a label
-    def refuse_key(*args):
-        raise AssertionError("keyed a label from scratch")
-
+    # no point query re-checks a label, nor the split partner it writes
     def refuse_check(self, parts=()):
         raise AssertionError(f"checked {parts!r}")
 
+    monkeypatch.setattr(Partition, "__init__", refuse_check)
+    for lam in labels:
+        for delta in deltas:
+            assert block_key(lam, delta) == expected[lam, delta][0]
+            assert classify_weight_class(lam, delta) == expected[lam, delta][1]
+            assert same_block(lam, labels[3], delta) == expected[lam, delta][2]["same_block"]
+
+    # the blocks of the Brauer algebra and the weight-class split never key
+    # a label from scratch
+    def refuse_key(*args):
+        raise AssertionError("keyed a label from scratch")
+
     monkeypatch.setattr("brauerblocks.blocks.transpose_profile", refuse_key)
     monkeypatch.setattr("brauerblocks.sequences.transpose_profile", refuse_key)
-    monkeypatch.setattr(Partition, "__init__", refuse_check)
     assert {delta: brauer_algebra_blocks(8, delta) for delta in deltas} == brauer
+    for lam in labels:
+        for delta in deltas:
+            assert classify_weight_class(lam, delta) == expected[lam, delta][1]
 
 
 def test_dot_orbit_examples():

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -228,6 +229,20 @@ def test_delta_and_index_read_integers_and_fractions_only(capsys):
             assert captured.out == "" and "Traceback" not in captured.err
             errors = [line for line in captured.err.splitlines() if "error:" in line]
             assert len(errors) == 1 and errors[0].endswith(f"{value!r} is not an integer or a fraction p/q")
+    # an integer past Python's int-to-string limit is named as such
+    limit = f"more than {sys.get_int_max_str_digits()} digits, Python's int-to-string limit"
+    for value in ("9" * 5000, "1/" + "9" * 5000):
+        for argv in (
+            ("central-char", f"--delta={value}", "--partition", "1"),
+            ("wedge-apply", "--delta", "2", "--shape", "1", f"--index={value}"),
+        ):
+            with pytest.raises(SystemExit) as err:
+                main(list(argv))
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            errors = [line for line in captured.err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and errors[0].endswith(limit)
     code, payload = run_json(capsys, "central-char", "--delta=+7/2", "--partition", "1")
     assert code == 0 and payload["delta"] == "7/2"
 
