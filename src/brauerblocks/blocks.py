@@ -8,7 +8,7 @@ permutation group; for non-integral delta the category is semisimple and
 every block is a single label.
 
 The point queries work in integer twice-units, with c2 = delta - 2, and
-return the OrbitKey in the same units.  They never build a transpose:
+return the OrbitKey in the same units.  No kernel builds a transpose:
 sequences.transpose_profile, the one coding of the orbit rule for a
 single label, which the descent oracle below checks, reads the twice-key,
 negative count and zero flag of the transpose's sequence off the label's
@@ -42,13 +42,11 @@ BFS_RANK_CAP (8) are refused; it certifies the descent in tests.
 from __future__ import annotations
 
 import gc
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import neg
 
-from .partitions import Partition, canonical_key, integral
+from .partitions import Partition, canonical_key, integral, row_runs
 from .sequences import OrbitKey, label_keys, transpose_has_zero, transpose_profile
 
 BFS_RANK_CAP = 8
@@ -113,14 +111,8 @@ def classify_weight_class(lam: Partition, delta) -> BlockClassification:
     length = len(parts)
     k = max(lam.part(1) + 1, (max(0, 2 * length - d) - c2) // 2 + 1)
     out = [k]
-    i = 0
-    while i < length:
-        p = parts[i]
-        j = i + 1  # the run is rows i+1..j; a run of one row needs no search
-        if j < length and parts[j] == p:
-            j = bisect_right(parts, -p, j + 1, key=neg)
+    for i, j, p in row_runs(parts):
         out += [p + 1] * (j - i)
-        i = j
     out += [1] * (c2 + k - length)
     partner = Partition._unchecked(tuple(out), lam.size + 2 * k + c2)
     return BlockClassification(split=True, partner=partner)
@@ -130,45 +122,59 @@ def enumerate_block_members(lam: Partition, delta, max_size: int) -> list[Partit
     """All labels of size <= max_size in the block of lam, canonical order.
 
     Built from the orbit rather than by filtering candidates, in twice-units
-    on the sequence of lam's transpose.  An entry is *fixed* when it is 0 or
-    its negative is also an entry; every member keeps the fixed entries and
-    picks a sign for each *free* one.  From the base, where every free entry
-    is positive, a member is the set S of free absolute values it negates:
-    negating a adds a boxes, and |S| keeps lam's count of negative free
-    entries mod 2 unless 0 is an entry.  The depth-first search over S with
-    sum(S) <= max_size - |base| visits at most F + 2 sets per member found,
-    for F free values within that budget: a set of the wrong parity drops
-    its largest value to reach a member."""
+    on the sequence of lam's transpose, read off lam's rows and written back
+    as rows by the complement identity of sequences.transpose_profile.  An
+    entry is *fixed* when it is 0 or its negative is also an entry; every
+    member keeps the fixed entries and picks a sign for each *free* one.
+    From the base, where every free entry is positive, a member is the set S
+    of free absolute values it negates: negating a adds a boxes, and |S|
+    keeps lam's count of negative free entries mod 2 unless 0 is an entry.
+    The depth-first search over S with sum(S) <= max_size - |base| visits at
+    most F + 2 sets per member found, for F free values within that budget:
+    a set of the wrong parity drops its largest value to reach a member."""
     if max_size < lam.size:
         raise ValueError("max_size must be at least the size of the partition")
     d = Fraction(delta)
     if d.denominator != 1:
         return [lam]
-    c2 = d.numerator - 2
-    mu = lam.transpose()
+    h = d.numerator  # twice the entry at x is h + 2x
+    length = len(lam)
     # read past every |negative entry| (the smallest entry is the first) and past 0
-    reach = max(len(mu), (max(0, -(c2 + 2 - 2 * mu.part(1))) - c2) // 2)
-    entries = [c2 + 2 * (k - mu.part(k)) for k in range(1, reach + 1)]
+    reach = max(lam.part(1), (max(0, 2 * length - h) - h) // 2 + 1)
+    # the x in [-length, reach) that no row removes, one range per gap between
+    # runs, as rows i+1..j equal to p remove p-j..p-i-1
+    entries: list[int] = []
+    above = reach
+    for i, _, p in row_runs(lam.parts):
+        entries += range(h + 2 * (p - i), h + 2 * (above - i), 2)
+        above = p
+    entries += range(h - 2 * length, h + 2 * (above - length), 2)
     present = set(entries)
     free = {v for v in entries if v != 0 and -v not in present}
     free_negative = [-v for v in free if v < 0]
     budget = max_size - lam.size + sum(free_negative)
-    # tail entries c2 + 2k beyond the read ones are positive, free, and
+    # tail entries h + 2x beyond the read ones are positive, free, and
     # unflippable once they exceed the budget
-    tail = range(c2 + 2 * reach + 2, budget + 1, 2)
+    tail = range(h + 2 * reach, budget + 1, 2)
     base = [v for v in entries if v not in free] + [abs(v) for v in free] + list(tail)
     flippable = sorted(a for a in map(abs, free) if a <= budget) + list(tail)
     parity = None if 0 in present else len(free_negative) % 2
+    width = len(base)
     members: list[Partition] = []
 
     def visit(start: int, flipped: list[int], room: int) -> None:
         if parity is None or len(flipped) % 2 == parity:
             negated = set(flipped)
             seq = sorted(-v if v in negated else v for v in base)
-            parts = [(c2 + 2 * k - e) // 2 for k, e in enumerate(seq, 1)]
-            while parts and parts[-1] == 0:
-                parts.pop()
-            members.append(Partition(parts).transpose())
+            seq.append(h + 2 * width)
+            # with the window at x_1 < ... < x_w and x_(w+1) = w, the member
+            # has x_(k+1) - x_k - 1 rows equal to k
+            rows: list[int] = []
+            for k in range(width, 0, -1):
+                gap = seq[k] - seq[k - 1]
+                if gap > 2:
+                    rows += [k] * (gap // 2 - 1)
+            members.append(Partition._unchecked(tuple(rows), max_size - room))
         for i in range(start, len(flippable)):
             a = flippable[i]
             if a > room:

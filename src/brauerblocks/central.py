@@ -26,12 +26,10 @@ Laurent series.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import neg
 
-from .partitions import HALF, Partition
+from .partitions import HALF, Partition, row_runs
 
 
 @dataclass(frozen=True)
@@ -120,18 +118,12 @@ def _root_exponents(parts: tuple[int, ...], a: int, b: int) -> dict[int, int]:
     :func:`central_character`."""
     step = 2 * b
     base = a - b  # B = 2b * (delta - 1)/2
-    length = len(parts)
-    end = step * length
+    end = step * len(parts)
     exps = {b: 1, -b: 1}
     get = exps.get
     for root, e in ((base, 1), (base - end, -1), (end - base, 1), (-base, -1)):
         exps[root] = get(root, 0) + e
-    i = 0
-    while i < length:
-        m = parts[i]
-        j = i + 1  # the run is rows i+1..j; a run of one row needs no search
-        if j < length and parts[j] == m:
-            j = bisect_right(parts, -m, j + 1, key=neg)
+    for i, j, m in row_runs(parts):
         root = base + step * (m - j)
         exps[root] = get(root, 0) + 1
         root = base + step * (m - i)
@@ -140,7 +132,6 @@ def _root_exponents(parts: tuple[int, ...], a: int, b: int) -> dict[int, int]:
         exps[root] = get(root, 0) + 1
         root = step * (j - m) - base
         exps[root] = get(root, 0) - 1
-        i = j
     return {root: e for root, e in exps.items() if e}
 
 

@@ -61,9 +61,9 @@ def _partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-# block builds the transposes of a block's members, and the partner written by
-# classify-weight-class has more parts than the label's first part, so both
-# build about that many parts; above this cap a label is refused.  same-block
+# block reads at least as many sequence entries as the label's first part, and
+# the partner written by classify-weight-class has more parts than that, so
+# both cost about that much; above this cap a label is refused.  same-block
 # and block-key read keys off a label's rows and keep the cap only so that the
 # four label commands share one input contract.  block and
 # classify-weight-class also read about |delta| entries, so they cap |delta| as
@@ -74,6 +74,12 @@ LABEL_CAP = 10**6
 # in sweeps of O(n) each.  At rank 1000 one descent takes about 0.2 s on a
 # 2-vCPU VM, and the time grows about as n^2, so larger ranks are refused.
 RANK_CAP = 1000
+
+# brauer-blocks lists every label of size n, n - 2, ...; its time, its memory
+# and its output follow their number, and each 4 added to n about doubles all
+# three.  At n = 44 a run takes about 5 s and 380 MB and prints 37 MB, so the
+# cap needs about 0.75 GB; larger n are refused.
+BRAUER_N_CAP = 48
 
 # series-check and verify sum truncated Laurent products: O(order^2) Fractions
 # that grow with the order (0.2 s at the cap).  verify repeats every check
@@ -154,6 +160,8 @@ def _classify_weight_class(args) -> dict:
 
 
 def _brauer_blocks(args) -> dict:
+    if args.n > BRAUER_N_CAP:
+        raise ValueError(f"--n above the cap {BRAUER_N_CAP}")
     return {
         "delta": str(args.delta),
         "n": args.n,

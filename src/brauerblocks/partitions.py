@@ -18,8 +18,9 @@ rational values, an int or a Fraction.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
-from operator import ge
+from operator import ge, neg
 
 HALF = Fraction(1, 2)
 
@@ -133,6 +134,20 @@ class Partition:
 
 # the slot descriptors, which write an instance's fields past __setattr__
 _PARTS, _SIZE = Partition.parts, Partition.size
+
+
+def row_runs(parts: tuple[int, ...]):
+    """Yield (i, j, p) top-down for each run of rows i+1..j equal to p; a
+    run's end costs one binary search, and a run of one row needs none."""
+    length = len(parts)
+    i = 0
+    while i < length:
+        p = parts[i]
+        j = i + 1
+        if j < length and parts[j] == p:
+            j = bisect_right(parts, -p, j + 1, key=neg)
+        yield i, j, p
+        i = j
 
 
 def canonical_key(p: Partition):

@@ -40,12 +40,11 @@ Fractions appear only at the public edge, in a :class:`ChargedSequence`
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import neg
 
-from .partitions import Partition, twice
+from .partitions import Partition, row_runs, twice
 
 WILDCARD = "*"
 
@@ -133,10 +132,7 @@ def transpose_profile(c2: int, parts: tuple[int, ...]) -> tuple[tuple, int, bool
     t = -(h // 2)  # the entry at x is negative exactly when x < t
     zero = h % 2 == 0 and t >= -length  # the entry at x = t vanishes
     removed_negatives = 0
-    a = 0
-    while a < length:
-        p = parts[a]
-        b = bisect_right(parts, -p, a + 1, key=neg)  # the run is rows a+1..b
+    for a, b, p in row_runs(parts):
         m = p if p < b - a else b - a
         added, removed = h - 2 * b, h + 2 * (p - a - 1)
         if m == 1:
@@ -155,7 +151,6 @@ def transpose_profile(c2: int, parts: tuple[int, ...]) -> tuple[tuple, int, bool
             removed_negatives += b - (s if s > a else a)
             if s > a:
                 zero = False
-        a = b
     negatives = max(0, t + length) - removed_negatives
     parity = WILDCARD if zero else negatives % 2
     return (tuple(sorted([(v, c) for v, c in dev.items() if c])), parity), negatives, zero

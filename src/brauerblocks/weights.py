@@ -23,13 +23,11 @@ characters.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import neg
 
-from .partitions import Partition, half, integral
+from .partitions import Partition, half, integral, row_runs
 
 
 def weight_alpha_part(lam: Partition, delta) -> dict[int, int]:
@@ -105,18 +103,12 @@ def _bar_masses(masses: dict[int, int], parts: tuple[int, ...], h: int, sign: in
     -l and -1 at 0 for a label of l rows.  The content c0 = -h/2 sits in
     the rows k of the run with 1 - c0 <= k <= m - c0."""
     get = masses.get
-    length = len(parts)
-    t = h - 2 * length
+    t = h - 2 * len(parts)
     masses[t] = get(t, 0) + sign
     masses[h] = get(h, 0) - sign
     c0 = -h // 2
     zero = 0
-    i = 0
-    while i < length:
-        m = parts[i]
-        j = i + 1  # the run is rows i+1..j; a run of one row needs no search
-        if j < length and parts[j] == m:
-            j = bisect_right(parts, -m, j + 1, key=neg)
+    for i, j, m in row_runs(parts):
         t = h + 2 * (m - j)
         masses[t] = get(t, 0) - sign
         t = h + 2 * (m - i)
@@ -126,7 +118,6 @@ def _bar_masses(masses: dict[int, int], parts: tuple[int, ...], h: int, sign: in
             last = j if j <= m - c0 else m - c0
             if last >= first:
                 zero += last - first + 1
-        i = j
     return zero
 
 

@@ -20,7 +20,7 @@ from brauerblocks.blocks import (
     same_block_report,
     sector_charge,
 )
-from brauerblocks.partitions import Partition, enumerate_partitions, partitions_of_size
+from brauerblocks.partitions import Partition, canonical_key, enumerate_partitions, partitions_of_size
 from brauerblocks.sequences import (
     WILDCARD,
     make_sequence,
@@ -229,6 +229,86 @@ def test_enumeration_equals_the_filter_definition():
                 assert enumerate_block_members(lam, delta, bound) == expected, (lam, delta, bound)
 
 
+def _transposing_enumeration(lam: Partition, delta, max_size: int) -> list[Partition]:
+    # the enumeration read off the sequence of lam's transpose, entry by
+    # entry, each member built as the transpose of its sequence's shape
+    if max_size < lam.size:
+        raise ValueError("max_size must be at least the size of the partition")
+    d = Fraction(delta)
+    if d.denominator != 1:
+        return [lam]
+    c2 = d.numerator - 2
+    mu = lam.transpose()
+    reach = max(len(mu), (max(0, -(c2 + 2 - 2 * mu.part(1))) - c2) // 2)
+    entries = [c2 + 2 * (k - mu.part(k)) for k in range(1, reach + 1)]
+    present = set(entries)
+    free = {v for v in entries if v != 0 and -v not in present}
+    free_negative = [-v for v in free if v < 0]
+    budget = max_size - lam.size + sum(free_negative)
+    tail = range(c2 + 2 * reach + 2, budget + 1, 2)
+    base = [v for v in entries if v not in free] + [abs(v) for v in free] + list(tail)
+    flippable = sorted(a for a in map(abs, free) if a <= budget) + list(tail)
+    parity = None if 0 in present else len(free_negative) % 2
+    members: list[Partition] = []
+
+    def visit(start: int, flipped: list[int], room: int) -> None:
+        if parity is None or len(flipped) % 2 == parity:
+            negated = set(flipped)
+            seq = sorted(-v if v in negated else v for v in base)
+            parts = [(c2 + 2 * k - e) // 2 for k, e in enumerate(seq, 1)]
+            while parts and parts[-1] == 0:
+                parts.pop()
+            members.append(Partition(parts).transpose())
+        for i in range(start, len(flippable)):
+            a = flippable[i]
+            if a > room:
+                break
+            flipped.append(a)
+            visit(i + 1, flipped, room - a)
+            flipped.pop()
+
+    visit(0, [], budget)
+    return sorted(members, key=canonical_key)
+
+
+def test_enumeration_equals_the_transposing_body():
+    # every label of size <= 8, seeded labels of 10-60 boxes, and a hook, a
+    # row, a column and a staircase, at integral and half-integral delta
+    deltas = [*range(-12, 14), Fraction(1, 2), Fraction(-7, 2)]
+    cases = [(lam, delta, lam.size + 14) for delta in deltas for lam in enumerate_partitions(8)]
+    rng = random.Random(1717)
+    labels = _seeded_labels(rng, 10, 60, 4)
+    labels += [Partition((20,) + (1,) * 20), Partition((40,)), Partition((1,) * 40), Partition(range(8, 0, -1))]
+    for lam in labels:
+        size = lam.size
+        for delta in (rng.randint(-2 * size, 2 * size), 2 - 2 * len(lam), 2 * lam.part(1), 0, 1, Fraction(5, 2)):
+            cases.append((lam, delta, size + rng.randint(0, 12)))
+    for lam, delta, bound in cases:
+        members = enumerate_block_members(lam, delta, bound)
+        assert members == _transposing_enumeration(lam, delta, bound), (lam.parts, delta, bound)
+        assert all(mu.size == sum(mu.parts) for mu in members)
+
+
+def test_enumerated_members_descend_to_the_labels_dominant_vector():
+    # Cox, De Visscher and Martin: the members of lam's block are the labels
+    # whose transposes share lam's transpose's dot orbit, at a rank that
+    # holds every member; the seed gives labels with second members at an
+    # even, an odd and a negative delta, about 500 descents in all
+    rng = random.Random(1745)
+    found = [0, 0, 0]
+    for lam in _seeded_labels(rng, 90, 110, 1):
+        low, high = -len(lam), lam.part(1)
+        deltas = (2 * rng.randint(low, high), 2 * rng.randint(low, high) + 1, rng.randint(2 * low, -1))
+        for kind, delta in enumerate(deltas):
+            members = enumerate_block_members(lam, delta, lam.size + rng.randint(8, 12))
+            rank = max(mu.size for mu in members) + 2
+            dominant = dot_dominant(lam.transpose(), rank, delta)
+            for mu in members:
+                assert dot_dominant(mu.transpose(), rank, delta) == dominant, (lam.parts[:3], mu.parts[:3], delta)
+            found[kind] += len(members) - 1
+    assert min(found) > 0 and sum(found) > 500
+
+
 def test_enumeration_reaches_far_past_the_filter():
     members = enumerate_block_members(EMPTY, 2, 60)
     assert len(set(members)) == len(members) > 1000
@@ -344,6 +424,8 @@ def test_point_and_brauer_queries_never_transpose(monkeypatch):
         for delta in deltas
     }
     brauer = {delta: brauer_algebra_blocks(8, delta) for delta in deltas}
+    small = labels[:8]
+    members = {(lam, delta): enumerate_block_members(lam, delta, lam.size + 8) for lam in small for delta in deltas}
 
     def refuse(self):
         raise AssertionError(f"transposed {self!r}")
@@ -360,7 +442,8 @@ def test_point_and_brauer_queries_never_transpose(monkeypatch):
             assert same_block(lam, labels[3], delta) == expected[lam, delta][2]["same_block"]
     assert {delta: brauer_algebra_blocks(8, delta) for delta in deltas} == brauer
 
-    # no point query re-checks a label, nor the split partner it writes
+    # no point query re-checks a label, nor the split partner it writes, and
+    # the enumeration writes its members' rows without a check or a transpose
     def refuse_check(self, parts=()):
         raise AssertionError(f"checked {parts!r}")
 
@@ -370,6 +453,8 @@ def test_point_and_brauer_queries_never_transpose(monkeypatch):
             assert block_key(lam, delta) == expected[lam, delta][0]
             assert classify_weight_class(lam, delta) == expected[lam, delta][1]
             assert same_block(lam, labels[3], delta) == expected[lam, delta][2]["same_block"]
+    for (lam, delta), found in members.items():
+        assert enumerate_block_members(lam, delta, lam.size + 8) == found
 
     # the blocks of the Brauer algebra and the weight-class split never key
     # a label from scratch

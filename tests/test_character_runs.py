@@ -5,7 +5,9 @@ a label's runs of equal rows in ints.  The references below are the
 per-row Fraction character and the content-count bar-weight reduction that
 the library used before; every label of size <= 10, every pair of size <= 9
 and 10**4-box labels with partners built here must give the same answers.
-Cost tests time the kernels on 10**6-row and 10**6-column labels.
+At even delta both kernels must also agree with the bar-weight reduction
+of the content count on seeded pairs of 50-300 boxes.  Cost tests time the
+kernels on 10**6-row and 10**6-column labels.
 """
 
 import random
@@ -15,7 +17,7 @@ from fractions import Fraction
 from brauerblocks.blocks import same_block
 from brauerblocks.central import FactoredRational, central_character, centrally_equivalent
 from brauerblocks.partitions import HALF, Partition, enumerate_partitions
-from brauerblocks.weights import same_bar_weight, weight_alpha_part
+from brauerblocks.weights import reduce_mod_qtheta, same_bar_weight, weight_alpha_part
 
 # 5/4 puts the roots on a 1/8 grid
 DELTAS = list(range(-8, 11)) + [Fraction(7, 2), Fraction(-1, 3), Fraction(5, 4), Fraction(-11, 6)]
@@ -178,3 +180,42 @@ def test_character_cost_follows_runs_not_rows():
     assert _best_of_three(lambda: central_character(column, 2)) < 0.05
     assert _best_of_three(lambda: centrally_equivalent(column, other, 2)) < 0.05
     assert not centrally_equivalent(column, other, 2)
+
+
+def _moved(lam: Partition, rng: random.Random) -> Partition:
+    """lam with one box moved from a removable corner to an addable corner
+    (or onto a new row), which may be the one it left."""
+    parts = list(lam.parts)
+    corners = [i for i, p in enumerate(parts) if i + 1 == len(parts) or parts[i + 1] < p]
+    i = rng.choice(corners)
+    parts[i] -= 1
+    spots = [k for k in range(len(parts) + 1) if k == 0 or parts[k - 1] > (parts[k] if k < len(parts) else 0)]
+    k = rng.choice(spots)
+    if k == len(parts):
+        parts.append(0)
+    parts[k] += 1
+    return Partition(sorted((p for p in parts if p), reverse=True))
+
+
+def test_character_kernels_equal_the_bar_weight_reduction_at_scale():
+    # Cox, De Visscher and Martin: at even delta every shifted content is a
+    # half-integer, so two labels have one central character exactly when
+    # their weights agree modulo the symmetrised sublattice, which the
+    # content count of weight_alpha_part and reduce_mod_qtheta decide
+    # without the run kernels
+    rng = random.Random(2009)
+    agree = differ = 0
+    for _ in range(5):
+        n = rng.randint(50, 300)
+        for lam in _labels(n).values():
+            for delta in (0, 2, -2 * len(lam), 2 * lam.part(1), 2 * rng.randint(-n, n)):
+                bar = reduce_mod_qtheta(weight_alpha_part(lam, delta), delta)
+                one = _negated(lam, delta, 1)
+                pairs = [one, _negated(lam, delta, 2), _moved(lam, rng), _moved(one, rng)]
+                for mu in pairs:
+                    same = reduce_mod_qtheta(weight_alpha_part(mu, delta), delta) == bar
+                    assert centrally_equivalent(lam, mu, delta) == same, (lam.parts[:3], mu.parts[:3], delta)
+                    assert same_bar_weight(lam, mu, delta) == same, (lam.parts[:3], mu.parts[:3], delta)
+                    agree += same
+                    differ += not same
+    assert agree > 300 and differ > 150

@@ -437,6 +437,14 @@ def test_dot_orbit_negative_rank_exits_2(capsys):
     assert message.endswith("--n must be nonnegative")
 
 
+def test_brauer_blocks_above_the_cap_exits_2_at_once(capsys):
+    for n in (cli.BRAUER_N_CAP + 1, 10**12):
+        started = time.perf_counter()
+        message = _usage_error(capsys, "brauer-blocks", "--delta", "2", "--n", str(n))
+        assert time.perf_counter() - started < 1
+        assert message.endswith(f"error: --n above the cap {cli.BRAUER_N_CAP}")
+
+
 def test_label_above_the_cap_exits_2_at_once(capsys):
     started = time.perf_counter()
     message = _usage_error(capsys, "classify-weight-class", "--delta", "2", "--partition", "99999999999")

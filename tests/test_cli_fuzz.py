@@ -20,7 +20,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauerblocks.cli import DELTA_COUNT_CAP, ORDER_CAP, RANK_CAP, main
+from brauerblocks.cli import BRAUER_N_CAP, DELTA_COUNT_CAP, ORDER_CAP, RANK_CAP, main
 
 JUNK = st.sampled_from(["x", "1/0", "", "2.5.1", "1e3", "--", "-"])
 
@@ -74,6 +74,8 @@ def _command(name, **kwargs):
 # small values, and the values at and just above each CLI cap
 ORDER = st.one_of(st.integers(-1, 8), st.sampled_from([ORDER_CAP, ORDER_CAP + 1]))
 RANK = st.one_of(st.integers(-1, 5), st.sampled_from([RANK_CAP, RANK_CAP + 1]))
+# brauer-blocks takes seconds at its cap, so only the values above it
+BRAUER_N = st.one_of(st.integers(-1, 10), st.sampled_from([BRAUER_N_CAP + 1, 10**12]))
 
 
 def _verify(size, lo, span, order, fault):
@@ -101,7 +103,7 @@ ARGV = st.one_of(
     _command("block-key", delta=DELTA, partition=PARTITION),
     _command("block", delta=DELTA, partition=PARTITION, max_size=st.integers(-1, 12).map(str)),
     _command("classify-weight-class", delta=DELTA, partition=PARTITION),
-    _command("brauer-blocks", delta=DELTA, n=st.integers(-1, 10).map(str)),
+    _command("brauer-blocks", delta=DELTA, n=BRAUER_N.map(str)),
     _command("dot-orbit", delta=DELTA, lhs=PARTITION, rhs=PARTITION, n=RANK.map(str)),
     _command("central-char", delta=DELTA, partition=PARTITION),
     _command("centrally-equivalent", delta=DELTA, lhs=PARTITION, rhs=PARTITION),

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 
@@ -11,6 +13,7 @@ from brauerblocks.partitions import (
     descending_partitions,
     parse_partition,
     partitions_of_size,
+    row_runs,
     twice,
 )
 from brauerblocks.sequences import label_keys
@@ -164,3 +167,38 @@ def test_transpose_of_large_hooks_and_columns():
         t = lam.transpose()
         assert t.parts == tuple(columns[j] for j in range(1, lam.part(1) + 1))
         assert t.transpose() == lam
+
+
+def _grouped_runs(parts: tuple) -> list:
+    # the runs of equal rows read one row at a time, as (i, j, p) for rows
+    # i+1..j equal to p
+    runs, i = [], 0
+    for p, group in groupby(parts):
+        j = i + sum(1 for _ in group)
+        runs.append((i, j, p))
+        i = j
+    return runs
+
+
+def _seeded_run_labels(rng: random.Random, count: int) -> list[tuple]:
+    # labels of a few runs each, with runs of one and of two rows at both
+    # ends and long runs in between
+    labels = []
+    for _ in range(count):
+        lengths = [rng.choice((1, 2))]
+        lengths += [rng.choice((1, 2, 3, rng.randint(4, 5000))) for _ in range(rng.randint(0, 6))]
+        lengths.append(rng.choice((1, 2)))
+        values = sorted(rng.sample(range(1, 10**4), len(lengths)), reverse=True)
+        labels.append(tuple(p for p, r in zip(values, lengths) for _ in range(r)))
+    return labels
+
+
+def test_row_runs_equal_the_grouped_runs():
+    for lam in enumerate_partitions(12):
+        assert list(row_runs(lam.parts)) == _grouped_runs(lam.parts), lam
+    n = 10**6
+    labels = [(n,), (1,) * n, (n // 2,) + (1,) * (n // 2), (2, 1), (2, 2, 1), (2, 1, 1), (3, 3, 2, 1, 1)]
+    labels += [(arm,) + (1,) * (300 - arm) for arm in (1, 2, 3, 150, 299, 300)]
+    labels += _seeded_run_labels(random.Random(1704), 40)
+    for parts in labels:
+        assert list(row_runs(parts)) == _grouped_runs(parts), (parts[:3], len(parts))
