@@ -20,14 +20,12 @@ from .blocks import (
 )
 from .central import (
     FactoredRational,
-    TruncatedLaurent,
     brauer_gammas,
     central_character,
     centrally_equivalent,
     check_admissible,
     check_reflection_product,
     gamma_factor,
-    parameter_series,
     weight_of_rational,
 )
 from .partitions import (
@@ -75,7 +73,6 @@ __all__ = [
     "Partition",
     "PartitionError",
     "SymWeight",
-    "TruncatedLaurent",
     "WILDCARD",
     "WedgeVector",
     "alpha_in_omega",
@@ -98,7 +95,6 @@ __all__ = [
     "half",
     "make_sequence",
     "orbit_key",
-    "parameter_series",
     "parse_partition",
     "partitions_of_size",
     "reduce_mod_qtheta",

@@ -1,5 +1,5 @@
 """Central characters as canonically factored rational functions, plus
-exact truncated-series checks of the defining parameter identities.
+exact checks of the defining parameter identities up to a truncation order.
 
 The central character attached to a partition with parameter delta is
 
@@ -20,8 +20,8 @@ The parameter sequence of the Brauer specialisation is
 gamma_a = delta * ((delta-1)/2)**a.  Its generating series
 u - 1/2 + sum_a gamma_a u^{-a} multiplied by its reflection u -> -u must
 equal (1/2 - u)(1/2 + u), and the odd-index coefficients must satisfy the
-admissibility recursion; both checks run in exact arithmetic on truncated
-Laurent series.
+admissibility recursion; both checks sum the given coefficients directly,
+in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -176,50 +176,6 @@ def weight_of_rational(f: FactoredRational) -> dict[Fraction, int]:
     return dict(f.factors)
 
 
-class TruncatedLaurent:
-    """Laurent series with rational coefficients, known exactly for all
-    degrees >= low; above the top stored degree every coefficient is exactly
-    zero.  Multiplication tracks the degrees the product determines exactly."""
-
-    __slots__ = ("coeffs", "low")
-
-    def __init__(self, coeffs: dict, low: int):
-        self.low = low
-        self.coeffs = {
-            d: Fraction(c) for d, c in coeffs.items() if d >= low and c != 0
-        }
-
-    @property
-    def top(self) -> int:
-        return max(self.coeffs, default=self.low - 1)
-
-    def coefficient(self, degree: int) -> Fraction:
-        if degree < self.low:
-            raise ValueError(f"coefficient of degree {degree} is below the truncation")
-        return self.coeffs.get(degree, Fraction(0))
-
-    def __mul__(self, other: "TruncatedLaurent") -> "TruncatedLaurent":
-        low = max(self.low + other.top, other.low + self.top)
-        out: dict[int, Fraction] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                if d >= low:
-                    out[d] = out.get(d, Fraction(0)) + c1 * c2
-        return TruncatedLaurent(out, low)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedLaurent)
-            and self.low == other.low
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        terms = ", ".join(f"u^{d}: {c}" for d, c in sorted(self.coeffs.items(), reverse=True))
-        return f"TruncatedLaurent({{{terms}}}, low={self.low})"
-
-
 def brauer_gammas(delta, length: int) -> list[Fraction]:
     """The parameter sequence gamma_a = delta * ((delta-1)/2)**a, a < length."""
     d = Fraction(delta)
@@ -232,39 +188,28 @@ def brauer_gammas(delta, length: int) -> list[Fraction]:
     return out
 
 
-def _gamma_series(gammas, reflect: bool = False) -> TruncatedLaurent:
-    """u - 1/2 + sum_a gamma_a u^{-a}, optionally with u replaced by -u."""
-    coeffs: dict[int, Fraction] = {
-        1: Fraction(-1 if reflect else 1),
-        0: Fraction(gammas[0]) - HALF,
-    }
-    for a in range(1, len(gammas)):
-        c = Fraction(gammas[a])
-        if reflect and a % 2:
-            c = -c
-        coeffs[-a] = c
-    return TruncatedLaurent(coeffs, -(len(gammas) - 1))
-
-
-def parameter_series(delta, order: int) -> TruncatedLaurent:
-    """Generating series of the Brauer parameters, truncated below u^-order."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return _gamma_series(brauer_gammas(delta, order + 1))
-
-
 def check_reflection_product(gammas, order: int) -> bool:
-    """Whether the generating series times its u -> -u reflection equals
-    (1/2 - u)(1/2 + u) = 1/4 - u^2, on every product coefficient the given
-    truncation determines exactly."""
+    """Whether f(u) = u - 1/2 + sum_a gamma_a u^{-a} times its reflection
+    f(-u) equals (1/2 - u)(1/2 + u) = 1/4 - u^2, on every product coefficient
+    the given truncation determines exactly.
+
+    The unknown gamma_a with a >= len(gammas) reach every degree below
+    2 - len(gammas), so the degrees low..2 are compared.  f(u)f(-u) is even
+    in u, so only even degrees are summed, each as
+    sum c_{d1} c_{d2} (-1)^{d2} over the nonzero coefficients c_d of f."""
     if len(gammas) < order + 1:
         raise ValueError("need at least order+1 parameter coefficients")
-    product = _gamma_series(gammas) * _gamma_series(gammas, reflect=True)
-    target = {2: Fraction(-1), 0: Fraction(1, 4)}
-    low = max(product.low, -order)
-    return all(
-        product.coefficient(d) == target.get(d, Fraction(0)) for d in range(low, 3)
-    )
+    low = max(2 - len(gammas), -order)
+    coeffs = [(1, Fraction(1)), (0, Fraction(gammas[0]) - HALF)]
+    coeffs += [(-a, Fraction(g)) for a, g in enumerate(gammas[1:], 1) if g]
+    product = dict.fromkeys(range(low + low % 2, 3, 2), Fraction(0))
+    for d1, c1 in coeffs:
+        for d2, c2 in coeffs:
+            m = d1 + d2
+            if m in product:
+                product[m] += -c1 * c2 if d2 % 2 else c1 * c2
+    target = {2: -1, 0: Fraction(1, 4)}
+    return all(c == target.get(m, 0) for m, c in product.items())
 
 
 def check_admissible(gammas, order: int) -> bool:

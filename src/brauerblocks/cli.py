@@ -30,7 +30,6 @@ from .blocks import (
 )
 from .central import brauer_gammas, central_character, check_admissible, check_reflection_product
 from .partitions import Partition, PartitionError, parse_partition, twice
-from .sequences import make_sequence
 from .wedge import WedgeVector, apply_b, apply_lowering, apply_raising, wedge_vector_json
 
 
@@ -63,11 +62,9 @@ def _partition_arg(text: str) -> Partition:
 
 # block reads at least as many sequence entries as the label's first part, and
 # the partner written by classify-weight-class has more parts than that, so
-# both cost about that much; above this cap a label is refused.  same-block
-# and block-key read keys off a label's rows and keep the cap only so that the
-# four label commands share one input contract.  block and
-# classify-weight-class also read about |delta| entries, so they cap |delta| as
-# well.
+# both cost about that much; above this cap a label is refused.  Both also
+# read about |delta| entries, so they cap |delta| as well.  same-block and
+# block-key read keys off a label's runs of rows and take any label.
 LABEL_CAP = 10**6
 
 # dot-orbit descends each label to its dominant vector: at most n(n-1) moves,
@@ -81,19 +78,19 @@ RANK_CAP = 1000
 # cap needs about 0.75 GB; larger n are refused.
 BRAUER_N_CAP = 48
 
-# series-check and verify sum truncated Laurent products: O(order^2) Fractions
-# that grow with the order (0.2 s at the cap).  verify repeats every check
-# once per delta; at both caps its series checks alone take about 9 s.
+# series-check and verify sum O(order^2) products of Fractions that grow with
+# the order (a series-check process takes about 0.25 s at the cap).  verify
+# repeats every check once per delta; at both caps its two series checks
+# alone take about 6 s.
 ORDER_CAP = 128
 DELTA_COUNT_CAP = 64
 
 
-def _require_capped(args, *flags: str, delta: bool = False) -> None:
-    for flag in flags:
-        first = getattr(args, flag).part(1)
-        if first > LABEL_CAP:
-            raise ValueError(f"--{flag} has first part {first}, above the cap {LABEL_CAP}")
-    if delta and abs(args.delta) > LABEL_CAP:
+def _require_capped(args) -> None:
+    first = args.partition.part(1)
+    if first > LABEL_CAP:
+        raise ValueError(f"--partition has first part {first}, above the cap {LABEL_CAP}")
+    if abs(args.delta) > LABEL_CAP:
         raise ValueError(f"|--delta| is above the cap {LABEL_CAP}")
 
 
@@ -119,7 +116,6 @@ def _text_lines(value, indent: int = 0) -> list[str]:
 
 
 def _same_block(args) -> dict:
-    _require_capped(args, "lhs", "rhs")
     return {
         "delta": str(args.delta),
         "lhs": list(args.lhs),
@@ -129,7 +125,6 @@ def _same_block(args) -> dict:
 
 
 def _block_key(args) -> dict:
-    _require_capped(args, "partition")
     return {
         "delta": str(args.delta),
         "partition": list(args.partition),
@@ -138,7 +133,7 @@ def _block_key(args) -> dict:
 
 
 def _block(args) -> dict:
-    _require_capped(args, "partition", delta=True)
+    _require_capped(args)
     members = enumerate_block_members(args.partition, args.delta, args.max_size)
     return {
         "delta": str(args.delta),
@@ -149,7 +144,7 @@ def _block(args) -> dict:
 
 
 def _classify_weight_class(args) -> dict:
-    _require_capped(args, "partition", delta=True)
+    _require_capped(args)
     cls = classify_weight_class(args.partition, args.delta)
     return {
         "delta": str(args.delta),
@@ -225,7 +220,7 @@ def _series_check(args) -> dict:
 
 
 def _wedge_apply(args) -> dict:
-    vector = WedgeVector.basis(make_sequence(args.shape, sector_charge(args.delta)))
+    vector = WedgeVector(twice(sector_charge(args.delta)), {args.shape: 1})
     op = {"b": apply_b, "raising": apply_raising, "lowering": apply_lowering}[args.op]
     return {
         "delta": str(args.delta),

@@ -4,19 +4,22 @@ Each check compares two computations that share no code path: the sequence
 orbit criterion against reflection descent to the dominant vector of the
 dot action, the reduced weight classes against canonical central
 characters, the wedge operators against a row-level box-move rule, and the
-factored rational functions against direct evaluation of their defining
-products.  The breadth-first dot-orbit oracle is not run here: it certifies
-the descent in the tests.  A check returns a :class:`CheckResult` carrying
-the first counterexample found, so failures are reproducible inputs rather
-than booleans; the body of each check is a helper that returns that
-counterexample, or None.
+weight of each factored gamma_a against alpha_a - alpha_{-a} in
+fundamental-weight coordinates.  The two series checks instead require the
+parameter identities to hold for the Brauer family and to fail once gamma_1
+is raised by one.  The breadth-first dot-orbit oracle is not run here: it
+certifies the descent in the tests.  A check returns a :class:`CheckResult`
+carrying the first counterexample found, so failures are reproducible
+inputs rather than booleans; the body of each check is a helper that
+returns that counterexample, or None.
 
-Label invariants are read once per label and delta: orbit keys through
-:func:`~brauerblocks.sequences.orbit_key`, and the negative-entry count and
-zero flag of a label's transposed sequence through
-:func:`~brauerblocks.sequences.transpose_profile`.  Weights, wedge moves
-and operator indices are compared in twice-units (the simple root alpha_i
-keyed by 2i); counterexamples print an operator index i as a number.
+Label invariants are read once per label and delta, in twice-units,
+through :func:`~brauerblocks.sequences.transpose_profile`: the orbit key of
+a label's sequence off the rows of its transpose, and the negative-entry
+count and zero flag of its transposed sequence off its own rows.  Weights,
+wedge moves and operator indices are compared in twice-units (the simple
+root alpha_i keyed by 2i); counterexamples print an operator index i as a
+number.
 
 `run_verify` executes the whole matrix at a requested size, at most
 :data:`SIZE_CAP`, and is the engine behind the ``verify`` CLI subcommand.
@@ -40,7 +43,6 @@ from .blocks import (
     dot_dominant,
     enumerate_block_members,
     same_block,
-    sector_charge,
 )
 from .central import (
     FactoredRational,
@@ -53,7 +55,7 @@ from .central import (
     weight_of_rational,
 )
 from .partitions import HALF, Partition, enumerate_partitions, half
-from .sequences import WILDCARD, make_sequence, orbit_key, transpose_profile
+from .sequences import WILDCARD, transpose_profile
 from .wedge import WedgeVector, apply_b, relative_weight
 from .weights import (
     alpha_in_omega,
@@ -111,8 +113,7 @@ def _orbit_mismatch(size_cap: int, deltas) -> str | None:
     parts = enumerate_partitions(size_cap)
     descend = cache(dot_dominant)  # each label descends once per rank and delta
     for delta in deltas:
-        charge = sector_charge(delta)
-        key = {p: orbit_key(make_sequence(p, charge)) for p in parts}
+        key = {p: transpose_profile(delta - 2, p.transpose().parts)[0] for p in parts}
         # parts is in size-first order, so |b| >= |a| and rank |b| holds both
         for i, a in enumerate(parts):
             for b in parts[i:]:

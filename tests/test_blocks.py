@@ -566,11 +566,12 @@ def test_orbit_check_reaches_past_the_bfs_ranks():
 
 
 def test_orbit_check_fails_when_the_criterion_ignores_parity(monkeypatch):
-    real_key = verify.orbit_key
+    real_profile = verify.transpose_profile
 
-    def deviations_only(seq):
+    def deviations_only(c2, parts):
         # the orbit key without its parity tag
-        return real_key(seq).deviations
+        (deviations, _), negatives, zero = real_profile(c2, parts)
+        return (deviations, None), negatives, zero
 
     def abs_multiset_only(s, t):
         w = max(s.length, t.length)
@@ -578,7 +579,7 @@ def test_orbit_check_fails_when_the_criterion_ignores_parity(monkeypatch):
             abs(t.entry(k)) for k in range(1, w + 1)
         )
 
-    monkeypatch.setattr(verify, "orbit_key", deviations_only)
+    monkeypatch.setattr(verify, "transpose_profile", deviations_only)
     result = verify.check_orbit_vs_bfs(4, range(-2, 4))
     assert not result.passed
     found = re.fullmatch(

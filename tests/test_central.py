@@ -5,14 +5,12 @@ import pytest
 
 from brauerblocks.central import (
     FactoredRational,
-    TruncatedLaurent,
     brauer_gammas,
     central_character,
     centrally_equivalent,
     check_admissible,
     check_reflection_product,
     gamma_factor,
-    parameter_series,
     weight_of_rational,
 )
 from brauerblocks.partitions import Partition, enumerate_partitions
@@ -112,33 +110,60 @@ def test_weight_of_rational_examples():
 
 
 def test_parameter_series_examples():
-    flat = parameter_series(1, 5)
-    assert flat.coefficient(1) == 1
-    assert flat.coefficient(0) == H
-    assert all(flat.coefficient(-a) == 0 for a in range(1, 6))
-
-    geo = parameter_series(3, 3)
-    assert [geo.coefficient(d) for d in (1, 0, -1, -2, -3)] == [
-        1,
-        Fraction(5, 2),
-        3,
-        3,
-        3,
-    ]
-
+    assert brauer_gammas(1, 6) == [1, 0, 0, 0, 0, 0]
+    assert brauer_gammas(3, 4) == [3] * 4
+    assert brauer_gammas(Fraction(7, 3), 3) == [Fraction(7, 3), Fraction(14, 9), Fraction(28, 27)]
+    assert brauer_gammas(5, 0) == []
     for delta in range(-4, 5):
-        assert parameter_series(delta, 2).coefficient(0) == Fraction(delta) - H
+        assert brauer_gammas(delta, 2) == [delta, delta * Fraction(delta - 1, 2)]
 
 
-def test_truncated_multiplication_tracks_exactness():
-    a = TruncatedLaurent({1: Fraction(1), 0: Fraction(2), -2: Fraction(5)}, -2)
-    b = TruncatedLaurent({0: Fraction(1), -1: Fraction(3)}, -1)
-    prod = a * b
-    # unknown coefficients below the factors' truncations forbid degrees
-    # under max(lowA + topB, lowB + topA)
-    assert prod.low == max(-2 + 0, -1 + 1)
-    assert prod.coefficient(1) == 1
-    assert prod.coefficient(0) == 5
+def _laurent_reflection_product(gammas, order: int) -> bool:
+    # the reference route: both series as truncated Laurent series, known
+    # for degrees >= 1 - len(gammas), multiplied in full; the product is
+    # exact from max(low_f + top_g, low_g + top_f) up, with top the highest
+    # nonzero degree, and compared on every degree from there (or -order) to 2
+    low = 1 - len(gammas)
+    series = []
+    for sign in (1, -1):
+        coeffs = {1: Fraction(sign), 0: Fraction(gammas[0]) - H}
+        for a in range(1, len(gammas)):
+            coeffs[-a] = Fraction(gammas[a]) * sign**a
+        series.append({d: c for d, c in coeffs.items() if c != 0})
+    f, g = series
+    exact = max(low + max(g), low + max(f))
+    product: dict[int, Fraction] = {}
+    for d1, c1 in f.items():
+        for d2, c2 in g.items():
+            if d1 + d2 >= exact:
+                product[d1 + d2] = product.get(d1 + d2, Fraction(0)) + c1 * c2
+    target = {2: Fraction(-1), 0: Fraction(1, 4)}
+    return all(
+        product.get(d, 0) == target.get(d, 0) for d in range(max(exact, -order), 3)
+    )
+
+
+def test_reflection_product_equals_the_laurent_product():
+    # Brauer parameters, extra coefficients beyond order + 1, and perturbed or
+    # random sequences, so that both outcomes occur at every order
+    rng = random.Random(20261019)
+    deltas = list(range(-4, 6)) + [Fraction(7, 3), Fraction(-5, 2)]
+    outcomes = set()
+    for delta in deltas:
+        for order in range(13):
+            for extra in (0, 1, 3):
+                base = brauer_gammas(delta, order + 1 + extra)
+                cases = [base, list(base), list(base), list(base)]
+                if len(base) > 1:
+                    cases[1][1] += 1
+                cases[2][rng.randrange(len(base))] += Fraction(1, 3)
+                cases[3][-1] += 5
+                cases.append([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in base])
+                for gammas in cases:
+                    expected = _laurent_reflection_product(gammas, order)
+                    assert check_reflection_product(gammas, order) == expected, (delta, order, gammas)
+                    outcomes.add((order, expected))
+    assert outcomes == {(order, ok) for order in range(13) for ok in (True, False)}
 
 
 def test_reflection_product_identity():

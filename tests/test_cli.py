@@ -451,13 +451,27 @@ def test_label_above_the_cap_exits_2_at_once(capsys):
     assert time.perf_counter() - started < 1
     assert message.endswith(f"--partition has first part 99999999999, above the cap {cli.LABEL_CAP}")
     big = str(cli.LABEL_CAP + 1)
-    for argv in (
-        ("same-block", "--delta", "2", "--lhs", "1", "--rhs", big),
-        ("same-block", "--delta", "2", "--lhs", big, "--rhs", "1"),
-        ("block-key", "--delta", "2", "--partition", big),
-        ("block", "--delta", "2", "--partition", big, "--max-size", big),
-    ):
-        assert "above the cap" in _usage_error(capsys, *argv)
+    message = _usage_error(capsys, "block", "--delta", "2", "--partition", big, "--max-size", big)
+    assert "above the cap" in message
+
+
+def test_same_block_and_block_key_take_labels_above_the_cap(capsys):
+    # both read the key off a label's runs of rows, whatever its first part
+    def row_key(n):
+        return {"twiceCharge": 0, "devMap": [[0, 1], [2 * n, -1]], "negParity": "*"}
+
+    big = cli.LABEL_CAP + 1
+    for lhs, rhs in ((1, big), (big, 1), (99999999999, 1)):
+        started = time.perf_counter()
+        code, payload = run_json(capsys, "same-block", "--delta", "2", "--lhs", str(lhs), "--rhs", str(rhs))
+        assert time.perf_counter() - started < 1
+        assert code == 0 and payload["same_block"] is False
+        assert payload["block_key"] == row_key(lhs)
+    for n in (big, 99999999999):
+        started = time.perf_counter()
+        code, payload = run_json(capsys, "block-key", "--delta", "2", "--partition", str(n))
+        assert time.perf_counter() - started < 1
+        assert code == 0 and payload["block_key"] == row_key(n)
 
 
 def test_cap_bounds_first_parts_and_delta(capsys, monkeypatch):
