@@ -18,9 +18,10 @@ length)).  classify_weight_class needs only the zero flag, which
 sequences.transpose_has_zero finds by one binary search over the rows, and
 writes the partner in closed form one run of rows at a time, so it costs
 O(runs * log r) plus a C-level copy of its output.  brauer_algebra_blocks
-takes its labels and their keys from sequences.label_keys, one walk over
-the partitions of size <= n that keys each label in O(1) from its parent,
-the label less its last row, by the same rule.
+applies the same rule one row at a time, in one walk over the p(n)
+partitions of size <= n whose parts are all >= 2; it keys each of them
+from its parent, and each label it stands for, itself followed by a run
+of 1s, in O(1).
 
 Label conventions: the public operations (same_block, block_key,
 classify_weight_class, enumerate_block_members, brauer_algebra_blocks)
@@ -42,12 +43,13 @@ BFS_RANK_CAP (8) are refused; it certifies the descent in tests.
 from __future__ import annotations
 
 import gc
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import Partition, canonical_key, integral, row_runs
-from .sequences import OrbitKey, label_keys, transpose_has_zero, transpose_profile
+from .partitions import _PARTS, _SIZE, Partition, canonical_key, integral, row_runs
+from .sequences import OrbitKey, transpose_has_zero, transpose_profile
 
 BFS_RANK_CAP = 8
 
@@ -189,12 +191,53 @@ def enumerate_block_members(lam: Partition, delta, max_size: int) -> list[Partit
 
 def brauer_algebra_blocks(n: int, delta) -> list[list[Partition]]:
     """Blocks of the rank-n Brauer algebra: the labels of sizes n, n-2, ...
-    partitioned by the block relation, in canonical order.  Labels are
-    grouped on the int key sequences.label_keys gives each in one walk;
-    groups keep the order in which they are first met."""
+    partitioned by the block relation, in canonical order; groups keep the
+    order in which they are first met.
+
+    Labels are grouped on an int key by the rule of
+    sequences.transpose_profile: row i with part q adds the absolute entry
+    at x = -i, removes the one at x = q - i, counts a negative entry removed
+    when x < t and clears the zero flag when x = t.  The absolute values at
+    x in [-n - 1, n] are ranked as slots, w(x) = 8**slot, and the deviation
+    is the sum of +-w, a unique balanced base-8 number whatever |delta|: at
+    most two rows add and two remove one value.  The key is 4 times it plus
+    the parity, or 2 for the wildcard.
+
+    A label is a node B, whose k parts are all >= 2, and j rows of 1.  A
+    depth-first walk visits the p(n) nodes; each packs (deviation << W) +
+    2 * negatives removed + zero hit, its parent's plus one int per row.
+    The rows of 1 telescope, so a label's key is the node's deviation plus
+    a term precomputed per (k, j) and the node's two low bits.  Children
+    come in descending part and a node's labels after its children's, so
+    each size fills lexicographically descending."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    c2 = integral(delta, "Brauer-algebra blocks require integral delta") - 2
+    h = integral(delta, "Brauer-algebra blocks require integral delta")
+    t = -(h // 2)  # twice the entry at x is h + 2x, negative exactly when x < t
+    slot = {v: s for s, v in enumerate(sorted({abs(h + 2 * x) for x in range(-n - 1, n + 1)}))}
+    w = {x: 8 ** slot[abs(h + 2 * x)] for x in range(-n - 1, n + 1)}
+    # a node's low field is at most 2 * (n // 2) <= n, as at most n // 2 rows
+    # have parts >= 2 and a row that hits x = t removes no negative; it is
+    # at least 2 bits wide, for the two read below
+    width = max(n.bit_length(), 2)
+    # step[k][q]: the packed int of row k + 1 with part q
+    step = [
+        [((w[-i] - w[q - i]) << width) + 2 * (q - i < t) + (q - i == t) for q in range(n + 3 - 2 * i)]
+        for i in range(1, n // 2 + 1)
+    ]
+    tails = []
+    for k in range(n // 2 + 1):
+        tail = []
+        for j in range(n - 2 * k + 1):
+            # rows k+1..r of 1 remove x = -k..1-r: deviation w(-r) - w(-k),
+            # max(0, r - max(k, 1 - t)) negatives removed, a zero hit when k < 1 - t <= r
+            r = k + j
+            odd = (max(0, t + r) - max(0, r - max(k, 1 - t))) % 2
+            wild = h % 2 == 0 and t >= -r and not k < 1 - t <= r
+            # b: bit 0 is the node's zero hit, bit 1 the parity of its negatives removed
+            tags = [2 if wild and not b & 1 else odd ^ (b >> 1) for b in range(4)]
+            tail.append((tuple(((w[-r] - w[-k]) << 2) + tag for tag in tags), (1,) * j, j))
+        tails.append(tail)
     # The walk leaves a few objects per label alive and makes no cycles, so
     # the cyclic collector finds nothing in it.  Left on, it would run every
     # few hundred labels, and at times a full collection over everything
@@ -204,13 +247,34 @@ def brauer_algebra_blocks(n: int, delta) -> list[list[Partition]]:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        by_size: list[list] = [[] for _ in range(n + 1)]
-        for key, label in label_keys(c2, n):
-            by_size[label.size].append((key, label))
-        groups: dict[int, list[Partition]] = {}
-        for labelled in by_size[n % 2 :: 2]:
-            for key, label in labelled:
-                groups.setdefault(key, []).append(label)
+        keys_at: list[list[int]] = [[] for _ in range(n + 1)]
+        labels_at: list[list[Partition]] = [[] for _ in range(n + 1)]
+        # each label as Partition._unchecked builds it, without the call
+        new, set_parts, set_size = object.__new__, _PARTS.__set__, _SIZE.__set__
+        stack = [((), 0, 0, n)]  # (parts, size, packed, largest next part)
+        while stack:
+            parts, size, packed, cap = stack.pop()
+            k = len(parts)
+            top = min(cap, n - size)
+            if top >= 2:
+                # back on the stack without children, under them
+                stack.append((parts, size, packed, 0))
+                row = step[k]
+                for q in range(2, top + 1):
+                    stack.append((parts + (q,), size + q, packed + row[q], q))
+                continue
+            dev, low = packed >> width << 2, packed & 3
+            for keys, ones, j in tails[k][(n - size) % 2 : n - size + 1 : 2]:
+                m = size + j
+                keys_at[m].append(dev + keys[low])
+                label = new(Partition)
+                set_parts(label, parts + ones)
+                set_size(label, m)
+                labels_at[m].append(label)
+        groups: defaultdict[int, list[Partition]] = defaultdict(list)
+        for m in range(n % 2, n + 1, 2):
+            for key, label in zip(keys_at[m], labels_at[m]):
+                groups[key].append(label)
     finally:
         if collecting:
             gc.enable()

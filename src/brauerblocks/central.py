@@ -215,13 +215,17 @@ def check_reflection_product(gammas, order: int) -> bool:
 def check_admissible(gammas, order: int) -> bool:
     """Whether the recursion
     2*gamma_k = -gamma_{k-1} + sum_{j=1..k} (-1)^(j-1) gamma_{j-1} gamma_{k-j}
-    holds for every odd k <= order."""
+    holds for every odd k <= order.  Products with a zero factor are
+    skipped, and the sign is read off the parity of j."""
     if len(gammas) < order + 1:
         raise ValueError("need at least order+1 parameter coefficients")
     g = [Fraction(x) for x in gammas]
+    nonzero = [a for a in range(order) if g[a]]  # a = j - 1
     for k in range(1, order + 1, 2):
         rhs = -g[k - 1] + sum(
-            (-1) ** (j - 1) * g[j - 1] * g[k - j] for j in range(1, k + 1)
+            -g[a] * g[k - 1 - a] if a % 2 else g[a] * g[k - 1 - a]
+            for a in nonzero
+            if a < k and g[k - 1 - a]
         )
         if 2 * g[k] != rhs:
             return False

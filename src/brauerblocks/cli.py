@@ -74,7 +74,7 @@ RANK_CAP = 1000
 
 # brauer-blocks lists every label of size n, n - 2, ...; its time, its memory
 # and its output follow their number, and each 4 added to n about doubles all
-# three.  At n = 44 a run takes about 5 s and 380 MB and prints 37 MB, so the
+# three.  At n = 44 a run takes about 4 s and 375 MB and prints 37 MB, so the
 # cap needs about 0.75 GB; larger n are refused.
 BRAUER_N_CAP = 48
 

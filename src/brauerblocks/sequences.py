@@ -29,9 +29,9 @@ alone, by one binary search over the rows.  Callers that hold a label read
 its negative-entry count and zero flag from it directly;
 :func:`orbit_twice_key`, :func:`orbit_key` and :func:`same_orbit` call it
 on the shape's transpose.
-For all labels up to a size at once, :func:`label_keys` applies the same
-rule one row at a time, along one walk over the labels.  The
-reflection-descent oracle in ``blocks`` checks both independently.
+``blocks.brauer_algebra_blocks`` applies the same rule one row at a time,
+along one walk over all labels up to a size.  The reflection-descent
+oracle in ``blocks`` checks both independently.
 The :class:`OrbitKey` holds the twice-key as it is, with twice the charge.
 Fractions appear only at the public edge, in a :class:`ChargedSequence`
 (:func:`make_sequence`, :meth:`ChargedSequence.entry`) and
@@ -169,48 +169,6 @@ def transpose_has_zero(c2: int, parts: tuple[int, ...]) -> bool:
     # j is the first row, 0-based, whose x is at most t
     j = bisect_left(range(length), -t, key=lambda j: j + 1 - parts[j])
     return j == length or parts[j] - j - 1 != t
-
-
-def label_keys(c2: int, n: int):
-    """Yield (key, label) for every partition `label` of size n, n - 2, ...,
-    with an int key that two labels of one call share exactly when their
-    transposes' twice-keys at charge c2/2 agree (see
-    :func:`transpose_profile`).  Labels of one size come lexicographically
-    descending.
-
-    One depth-first walk over the partitions of size <= n builds each label
-    as its parent plus a row, and its key in O(1) from the parent's by the
-    rule of :func:`transpose_profile`: row i with part q adds the absolute
-    value at x = -i and removes the one at x = q - i; it counts a negative
-    entry removed when x < t and clears the zero flag when x = t.  These
-    x lie in [-n - 1, n], so the key ranks their absolute values as slots,
-    and holds the deviation as the sum of +-8**slot: each slot's net count
-    lies in [-2, 2], as at most two rows add and two remove one absolute
-    value, so the sum is a unique balanced base-8 number, whatever |c2|.
-    The key is 4 times that sum plus the parity, or 2 for the wildcard.
-    The walk runs on an explicit stack, pushing the parts in ascending
-    order so that the largest is taken first."""
-    h = c2 + 2  # twice the entry at x is h + 2x
-    t = -(h // 2)  # the entry at x is negative exactly when x < t
-    slot = {v: s for s, v in enumerate(sorted({abs(h + 2 * x) for x in range(-n - 1, n + 1)}))}
-    weight = {x: 8 ** slot[abs(h + 2 * x)] for x in range(-n - 1, n + 1)}
-    make = Partition._unchecked
-    # (parts, size, largest next part, deviation, removed negatives, zero hit)
-    stack = [((), 0, n, 0, 0, False)]
-    while stack:
-        parts, size, cap, dev, below, hit = stack.pop()
-        rows = len(parts)
-        if (n - size) % 2 == 0:
-            if h % 2 == 0 and t >= -rows and not hit:
-                tag = 2
-            else:
-                tag = (max(0, t + rows) - below) % 2
-            yield 4 * dev + tag, make(parts, size)
-        i = rows + 1
-        gained = dev + weight[-i]
-        for q in range(1, min(cap, n - size) + 1):
-            x = q - i
-            stack.append((parts + (q,), size + q, q, gained - weight[x], below + (x < t), hit or x == t))
 
 
 def orbit_twice_key(c2: int, shape: Partition) -> tuple:

@@ -370,8 +370,19 @@ def test_brauer_algebra_blocks_equal_the_descent_grouping():
             assert brauer_algebra_blocks(n, delta) == list(grouped.values()), (n, delta)
 
 
+def test_brauer_algebra_blocks_equal_the_descent_grouping_at_scale():
+    # long runs of 1s, many rows below t and ranks where the walk's low
+    # field needs its every bit, against the same oracle as above
+    for n, delta in ((24, -4), (24, 0), (24, 2), (23, -1), (23, 7)):
+        grouped: dict = {}
+        for m in range(n % 2, n + 1, 2):
+            for p in partitions_of_size(m):
+                grouped.setdefault(dot_dominant(p.transpose(), n, delta), []).append(p)
+        assert brauer_algebra_blocks(n, delta) == list(grouped.values()), (n, delta)
+
+
 def test_brauer_algebra_blocks_hold_off_the_cyclic_collector():
-    # the walk leaves about 3 000 objects alive at n = 18, past the collector's
+    # the walk leaves about 2 700 objects alive at n = 18, past the collector's
     # threshold of 700, yet the only collection inside it is the one young
     # collection it runs at the end; a caller's disabled collector stays off
     expected = brauer_algebra_blocks(18, 2)

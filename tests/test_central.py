@@ -143,13 +143,11 @@ def _laurent_reflection_product(gammas, order: int) -> bool:
     )
 
 
-def test_reflection_product_equals_the_laurent_product():
+def _series_cases():
     # Brauer parameters, extra coefficients beyond order + 1, and perturbed or
     # random sequences, so that both outcomes occur at every order
     rng = random.Random(20261019)
-    deltas = list(range(-4, 6)) + [Fraction(7, 3), Fraction(-5, 2)]
-    outcomes = set()
-    for delta in deltas:
+    for delta in list(range(-4, 6)) + [Fraction(7, 3), Fraction(-5, 2)]:
         for order in range(13):
             for extra in (0, 1, 3):
                 base = brauer_gammas(delta, order + 1 + extra)
@@ -160,10 +158,37 @@ def test_reflection_product_equals_the_laurent_product():
                 cases[3][-1] += 5
                 cases.append([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in base])
                 for gammas in cases:
-                    expected = _laurent_reflection_product(gammas, order)
-                    assert check_reflection_product(gammas, order) == expected, (delta, order, gammas)
-                    outcomes.add((order, expected))
+                    yield delta, order, gammas
+
+
+def test_reflection_product_equals_the_laurent_product():
+    outcomes = set()
+    for delta, order, gammas in _series_cases():
+        expected = _laurent_reflection_product(gammas, order)
+        assert check_reflection_product(gammas, order) == expected, (delta, order, gammas)
+        outcomes.add((order, expected))
     assert outcomes == {(order, ok) for order in range(13) for ok in (True, False)}
+
+
+def _dense_admissible(gammas, order: int) -> bool:
+    # the reference route: the recursion summed densely, zero products and
+    # (-1) ** (j - 1) included
+    g = [Fraction(x) for x in gammas]
+    for k in range(1, order + 1, 2):
+        rhs = -g[k - 1] + sum((-1) ** (j - 1) * g[j - 1] * g[k - j] for j in range(1, k + 1))
+        if 2 * g[k] != rhs:
+            return False
+    return True
+
+
+def test_admissibility_equals_the_dense_sum():
+    # at order 0 the recursion has no odd k, so it holds there vacuously
+    outcomes = set()
+    for delta, order, gammas in _series_cases():
+        expected = _dense_admissible(gammas, order)
+        assert check_admissible(gammas, order) == expected, (delta, order, gammas)
+        outcomes.add((order, expected))
+    assert outcomes == {(0, True)} | {(order, ok) for order in range(1, 13) for ok in (True, False)}
 
 
 def test_reflection_product_identity():

@@ -3,7 +3,8 @@
 ``golden_cli.json`` holds, for each invocation, its argv, its exit code and
 its exact stdout: same-block (JSON with the reason evidence, and text),
 block-key, classify-weight-class (split and single classes, window and tail
-zero entries), block and brauer-blocks over delta in {-3, 0, 1, 2, 5, 7/2};
+zero entries), block and brauer-blocks over delta in {-3, 0, 1, 2, 5, 7/2}
+and brauer-blocks at n = 10 for delta -3 and 2 and at n = 9 for delta 0;
 wedge-apply with each of b, raising and lowering at even and odd delta,
 negative indices (written --index=-3/2), moves at the tail of the empty
 shape, a colliding move with no terms, and text output; one case each of

@@ -4,6 +4,7 @@ from itertools import groupby
 
 import pytest
 
+from brauerblocks.blocks import brauer_algebra_blocks
 from brauerblocks.partitions import (
     Partition,
     PartitionError,
@@ -16,7 +17,6 @@ from brauerblocks.partitions import (
     row_runs,
     twice,
 )
-from brauerblocks.sequences import label_keys
 
 
 def test_parse_basic():
@@ -58,12 +58,13 @@ def test_transpose_involution_and_size():
 
 
 def test_built_labels_equal_checked_ones():
-    # partitions_of_size, transpose and the key walk skip the checks of
-    # __init__; what they build must equal the checked partition
+    # partitions_of_size, transpose and the Brauer-block walk skip the checks
+    # of __init__; what they build must equal the checked partition
     labels = enumerate_partitions(12)
     built = labels + [lam.transpose() for lam in labels]
-    built += [label for n in (11, 12) for _, label in label_keys(0, n)]
-    assert sorted(built, key=canonical_key) == sorted(labels * 3, key=canonical_key)
+    for delta in (0, 3):
+        built += [label for n in (11, 12) for block in brauer_algebra_blocks(n, delta) for label in block]
+    assert sorted(built, key=canonical_key) == sorted(labels * 4, key=canonical_key)
     for lam in built:
         checked = Partition(lam.parts)
         assert (lam.parts, lam.size, hash(lam)) == (checked.parts, checked.size, hash(checked))
