@@ -26,10 +26,9 @@ from .blocks import (
     dot_dominant,
     enumerate_block_members,
     same_block_report,
-    sector_charge,
 )
 from .central import brauer_gammas, central_character, check_admissible, check_reflection_product
-from .partitions import Partition, PartitionError, parse_partition, twice
+from .partitions import Partition, PartitionError, integral, parse_partition, twice
 from .wedge import WedgeVector, apply_b, apply_lowering, apply_raising, wedge_vector_json
 
 
@@ -220,7 +219,8 @@ def _series_check(args) -> dict:
 
 
 def _wedge_apply(args) -> dict:
-    vector = WedgeVector(twice(sector_charge(args.delta)), {args.shape: 1})
+    c2 = integral(args.delta, "wedge-apply requires integral delta") - 2
+    vector = WedgeVector(c2, {args.shape: 1})
     op = {"b": apply_b, "raising": apply_raising, "lowering": apply_lowering}[args.op]
     return {
         "delta": str(args.delta),

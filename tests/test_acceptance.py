@@ -41,7 +41,7 @@ def test_c01_central_equal_weights_distinct():
 
 
 def test_c02_orbit_equals_dot_bfs_oracle():
-    _report(2, V.check_orbit_vs_bfs(5, range(-3, 6)))
+    _report(2, V.check_orbit_vs_bfs(10, range(-3, 6)))
 
 
 def test_c03_sequence_weight_bridge():
@@ -53,7 +53,7 @@ def test_c04_weight_class_split_counts():
 
 
 def test_c05_bar_weight_vs_central_character():
-    _report(5, V.check_central_vs_bar_weight(7, range(-3, 6)))
+    _report(5, V.check_central_vs_bar_weight(10, range(-3, 6)))
 
 
 def test_c06_series_reflection_product():
@@ -77,4 +77,4 @@ def test_c10_rational_function_weight_identity():
 
 
 def test_c11_key_consistency_across_modules():
-    _report(11, V.check_key_consistency(8, range(-3, 6)))
+    _report(11, V.check_key_consistency(10, range(-3, 6)))

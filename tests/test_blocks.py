@@ -1,7 +1,9 @@
 import gc
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -20,6 +22,7 @@ from brauerblocks.blocks import (
     same_block_report,
     sector_charge,
 )
+from brauerblocks.central import central_character
 from brauerblocks.partitions import Partition, canonical_key, enumerate_partitions, partitions_of_size
 from brauerblocks.sequences import (
     WILDCARD,
@@ -514,12 +517,25 @@ def _is_dominant(v) -> bool:
     return len(v) < 2 or (abs(v[0]) <= v[1] and all(x <= y for x, y in zip(v[1:], v[2:])))
 
 
+def _d_orbit(v: tuple[int, ...]) -> set:
+    # W(D_n) = S_n semidirect (Z/2)^(n-1) (Humphreys, Reflection Groups and
+    # Coxeter Groups, ch. 2): the orbit of v is every permutation of every
+    # change of an even number of its signs
+    variants = {
+        tuple(sorted(s * x for s, x in zip(signs, v)))
+        for signs in product((1, -1), repeat=len(v))
+        if signs.count(-1) % 2 == 0
+    }
+    return {w for u in variants for w in permutations(u)}
+
+
 def test_dot_dominant_equals_bfs_membership():
     # every ordered pair of labels of size <= n at rank n, delta in -5..6:
     # 17,700 pairs.  Labels are grouped by their descent result, over all
-    # deltas at once, and one BFS runs per group: the labels in the closure
-    # of the group's first member must be exactly the group, and the
-    # closure must hold the descent result.
+    # deltas at once, and one orbit is built per group: the labels in the
+    # orbit of the group's first member must be exactly the group, and the
+    # orbit must hold the descent result.  Up to rank 4 the orbit is also
+    # the BFS closure from the generators, which certifies the generator set.
     for n in range(7):
         labels = [(p, delta) for delta in range(-5, 7) for p in enumerate_partitions(n)]
         vectors = {(p, delta): _shifted_vector(p, n, delta) for p, delta in labels}
@@ -527,9 +543,11 @@ def test_dot_dominant_equals_bfs_membership():
         for p, delta in labels:
             groups.setdefault(dot_dominant(p, n, delta), []).append((p, delta))
         for dominant, group in groups.items():
-            closure = _orbit_closure.__wrapped__(vectors[group[0]])
-            assert dominant in closure, (n, group[0])
-            assert [label for label in labels if vectors[label] in closure] == group, (n, group[0])
+            orbit = _d_orbit(vectors[group[0]])
+            if n <= 4:
+                assert orbit == _orbit_closure.__wrapped__(vectors[group[0]]), (n, group[0])
+            assert dominant in orbit, (n, group[0])
+            assert [label for label in labels if vectors[label] in orbit] == group, (n, group[0])
 
 
 def test_dot_dominant_spot_checks_at_rank_7():
@@ -605,6 +623,164 @@ def test_orbit_check_fails_when_the_criterion_ignores_parity(monkeypatch):
     charge = sector_charge(delta)
     assert abs_multiset_only(make_sequence(a, charge), make_sequence(b, charge))
     assert verify.check_orbit_vs_bfs(4, range(-2, 4)).counterexample == result.counterexample
+
+
+def test_orbit_check_fails_when_the_key_counts_negatives(monkeypatch):
+    # a key finer than the orbit: equal keys still mean one orbit, so only
+    # the scan of descent classes can report it
+    real_profile = verify.transpose_profile
+
+    def exact_count(c2, parts):
+        (deviations, _), negatives, zero = real_profile(c2, parts)
+        return (deviations, negatives), negatives, zero
+
+    monkeypatch.setattr(verify, "transpose_profile", exact_count)
+    result = verify.check_orbit_vs_bfs(4, range(-2, 4))
+    found = re.fullmatch(
+        r"a=\[([\d, ]*)\] b=\[([\d, ]*)\] n=(\d+) delta=(-?\d+): orbit=False descent=True",
+        result.counterexample,
+    )
+    assert found, result.counterexample
+    a, b = (Partition(tuple(int(x) for x in g.split(",") if x)) for g in found.group(1, 2))
+    n, delta = int(found.group(3)), int(found.group(4))
+    # one orbit by the BFS, though the two transposes have different negative counts
+    assert dot_orbit_member(a, b, n, delta)
+    assert real_profile(delta - 2, a.transpose().parts)[1] != real_profile(delta - 2, b.transpose().parts)[1]
+
+
+PAIR = r"lam=\[([\d, ]*)\] mu=\[([\d, ]*)\] delta=(-?\d+): "
+
+
+def _named_pair(pattern: str, counterexample: str):
+    """The labels and delta a counterexample names, and its other groups."""
+    found = re.fullmatch(PAIR + pattern, counterexample)
+    assert found, counterexample
+    lam, mu = (Partition(tuple(int(x) for x in g.split(",") if x)) for g in found.group(1, 2))
+    return lam, mu, int(found.group(3)), found.groups()[3:]
+
+
+def test_central_check_fails_when_one_character_is_read_at_another_delta(monkeypatch):
+    target = Partition((2, 1))
+
+    def shifted(lam, delta):
+        return central_character(lam, delta + 2 if lam == target else delta)
+
+    monkeypatch.setattr(verify, "central_character", shifted)
+    result = verify.check_central_vs_bar_weight(4, range(-3, 6))
+    assert not result.passed
+    lam, mu, delta, (claim,) = _named_pair(
+        "(bar-weight equal, characters differ|characters equal, bar-weights differ)", result.counterexample
+    )
+    # recomputed without the patch: the mutant reading splits one relation from the other
+    bar_eq = same_bar_weight(lam, mu, delta)
+    char_eq = shifted(lam, delta) == shifted(mu, delta)
+    assert (bar_eq, char_eq) == ((True, False) if claim.startswith("bar") else (False, True))
+    assert delta % 2 == 0 or bar_eq
+
+
+def test_central_check_fails_when_every_character_is_the_same(monkeypatch):
+    # equal bar-weights still imply equal characters; only the converse, at
+    # even delta, can report this mutant
+    monkeypatch.setattr(verify, "central_character", lambda lam, delta: central_character(EMPTY, delta))
+    result = verify.check_central_vs_bar_weight(4, range(-3, 6))
+    lam, mu, delta, _ = _named_pair("characters equal, bar-weights differ", result.counterexample)
+    assert delta % 2 == 0 and not same_bar_weight(lam, mu, delta)
+
+
+def _parity_always(lam, delta):
+    # finer than the blocks: no wildcard
+    key = block_key(lam, delta)
+    if key.neg_parity != WILDCARD:
+        return key
+    return replace(key, neg_parity=transpose_profile(delta - 2, lam.parts)[1] % 2)
+
+
+def _no_deviations(lam, delta):
+    # coarser than the blocks, across bar-weight classes: only the scan of
+    # key classes can report it
+    return replace(block_key(lam, delta), deviations=())
+
+
+@pytest.mark.parametrize("mutant", [_parity_always, _no_deviations], ids=["wildcard", "deviations"])
+def test_key_check_fails_when_the_key_drops_a_field(monkeypatch, mutant):
+    monkeypatch.setattr(verify, "block_key", mutant)
+    result = verify.check_key_consistency(6, range(-3, 6))
+    assert not result.passed
+    lam, mu, delta, (key_eq, rule) = _named_pair("key equality (True|False), rule (True|False)", result.counterexample)
+    # the reported key equality is the mutant's; the reported rule is the unpatched key equality
+    assert key_eq == str(mutant(lam, delta) == mutant(mu, delta))
+    assert rule == str(block_key(lam, delta) == block_key(mu, delta)) != key_eq
+
+
+def test_key_check_fails_when_one_label_gets_a_key_of_its_own(monkeypatch):
+    # (2, 1, 1) is reported only by the scan of refined classes (bar-weight
+    # and parity); the bar-weight and key scans alone miss it
+    deltas = range(-3, 6)
+    labels = enumerate_partitions(4)
+    for target in labels:
+        def own_key(lam, delta):
+            key = block_key(lam, delta)
+            return replace(key, deviations=key.deviations + ((-1, 1),)) if lam == target else key
+
+        monkeypatch.setattr(verify, "block_key", own_key)
+        result = verify.check_key_consistency(4, deltas)
+        shared = any(block_key(target, d) == block_key(mu, d) for d in deltas for mu in labels if mu != target)
+        assert result.passed == (not shared), target
+        if shared:
+            lam, mu, delta, _ = _named_pair("key equality False, rule True", result.counterexample)
+            assert target in (lam, mu) and lam != mu
+            assert block_key(lam, delta) == block_key(mu, delta)
+
+
+def test_key_check_fails_exactly_when_a_wrong_zero_flag_changes_the_rule(monkeypatch):
+    # a zero flag that varies inside a bar-weight class is reported by the
+    # scan of bar-weight classes; the refined and key scans alone miss it
+    deltas = range(-3, 6)
+    labels = enumerate_partitions(4)
+
+    def rule(lam, mu, delta, zero) -> bool:
+        if not same_bar_weight(lam, mu, delta):
+            return False
+        negatives = [transpose_profile(delta - 2, p.parts)[1] % 2 for p in (lam, mu)]
+        return delta % 2 != 0 or negatives[0] == negatives[1] or zero(lam, delta) or zero(mu, delta)
+
+    for target in labels:
+        def flipped(c2, parts):
+            key, negatives, zero = transpose_profile(c2, parts)
+            return key, negatives, zero != (parts == target.parts)
+
+        def true_zero(lam, delta):
+            return transpose_profile(delta - 2, lam.parts)[2]
+
+        def mutant_zero(lam, delta):
+            return flipped(delta - 2, lam.parts)[2]
+
+        monkeypatch.setattr(verify, "transpose_profile", flipped)
+        result = verify.check_key_consistency(4, deltas)
+        changed = any(
+            rule(target, mu, d, true_zero) != rule(target, mu, d, mutant_zero) for d in deltas for mu in labels
+        )
+        assert result.passed == (not changed), target
+        if changed:
+            lam, mu, delta, _ = _named_pair("key equality False, rule True", result.counterexample)
+            assert block_key(lam, delta) != block_key(mu, delta)
+            assert rule(lam, mu, delta, mutant_zero)
+
+
+def test_key_check_reports_a_flipped_parity_on_every_small_label():
+    for target in enumerate_partitions(4):
+        result = verify.check_key_consistency(4, range(-3, 6), flip_parity_of=target)
+        assert not result.passed, target
+        if "planted at no delta" in result.counterexample:
+            assert all(block_key(target, d).neg_parity == WILDCARD for d in range(-3, 6))
+            continue
+        lam, mu, delta, _ = _named_pair("key equality False, rule True", result.counterexample)
+        assert lam == mu == target
+        assert block_key(target, delta).neg_parity != WILDCARD
+    # at delta = 2, (2, 2, 2) shares the key of () and so is the first of no
+    # class: only the comparison of each left key with its own reports it
+    result = verify.check_key_consistency(6, [2], flip_parity_of=Partition((2, 2, 2)))
+    assert result.counterexample == "lam=[2, 2, 2] mu=[2, 2, 2] delta=2: key equality False, rule True"
 
 
 def test_same_block_report_fields():

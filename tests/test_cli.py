@@ -362,7 +362,19 @@ def test_library_value_error_exits_2(capsys):
     message = _usage_error(
         capsys, "wedge-apply", "--delta", "1/3", "--shape", "1", "--op", "b", "--index", "0"
     )
-    assert "not an integer or half-integer" in message
+    assert message.endswith("wedge-apply requires integral delta")
+    message = _usage_error(
+        capsys, "wedge-apply", "--delta", "2", "--shape", "1", "--op", "b", "--index", "1/3"
+    )
+    assert message.endswith("1/3 is not an integer or half-integer")
+
+
+@pytest.mark.parametrize("delta", ["1/2", "7/2"])
+def test_wedge_apply_names_the_nonintegral_delta(capsys, delta):
+    # the charge delta/2 - 1 is no half-integer (-3/4 at delta = 1/2); the
+    # error names the delta as given, not the charge
+    message = _usage_error(capsys, "wedge-apply", "--delta", delta, "--shape", "1", "--index", "1/2")
+    assert message.endswith("error: wedge-apply requires integral delta")
 
 
 def test_empty_delta_range_and_bad_jobs_exit_2(capsys):

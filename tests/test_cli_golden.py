@@ -10,7 +10,7 @@ negative indices (written --index=-3/2), moves at the tail of the empty
 shape, a colliding move with no terms, and text output; one case each of
 central-char, centrally-equivalent, dot-orbit and series-check; plus a few
 usage errors (among them a wedge-apply index of the wrong parity and
-delta = 7/2, whose charge is no half-integer), which print nothing on
+delta = 7/2, which is not integral), which print nothing on
 stdout and exit 2.
 """
 
