@@ -16,7 +16,6 @@ from .blocks import (
     enumerate_block_members,
     same_block,
     same_block_report,
-    sector_charge,
 )
 from .central import (
     FactoredRational,
@@ -38,15 +37,7 @@ from .partitions import (
     partitions_of_size,
     twice,
 )
-from .sequences import (
-    WILDCARD,
-    ChargedSequence,
-    OrbitKey,
-    make_sequence,
-    orbit_key,
-    same_orbit,
-    shape_from_entries,
-)
+from .sequences import WILDCARD, OrbitKey
 from .wedge import (
     WedgeVector,
     apply_b,
@@ -67,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BFS_RANK_CAP",
     "BlockClassification",
-    "ChargedSequence",
     "FactoredRational",
     "OrbitKey",
     "Partition",
@@ -93,8 +83,6 @@ __all__ = [
     "enumerate_partitions",
     "gamma_factor",
     "half",
-    "make_sequence",
-    "orbit_key",
     "parse_partition",
     "partitions_of_size",
     "reduce_mod_qtheta",
@@ -102,9 +90,6 @@ __all__ = [
     "same_bar_weight",
     "same_block",
     "same_block_report",
-    "same_orbit",
-    "sector_charge",
-    "shape_from_entries",
     "twice",
     "weight_alpha_part",
     "weight_of_rational",

@@ -54,11 +54,6 @@ from .sequences import OrbitKey, transpose_has_zero, transpose_profile
 BFS_RANK_CAP = 8
 
 
-def sector_charge(delta) -> Fraction:
-    """The charge delta/2 - 1 of the sector attached to the parameter."""
-    return Fraction(delta) / 2 - 1
-
-
 def same_block(lam: Partition, mu: Partition, delta) -> bool:
     """Whether the simple modules labelled lam and mu lie in one block.
 

@@ -78,19 +78,31 @@ RANK_CAP = 1000
 BRAUER_N_CAP = 48
 
 # series-check and verify sum O(order^2) products of Fractions that grow with
-# the order (a series-check process takes about 0.25 s at the cap).  verify
+# the order and with the digits of delta (a series-check process takes about
+# 0.25 s at the cap; with a 1,000-digit delta, 33 s), so series-check also
+# refuses a delta whose numerator or denominator exceeds LABEL_CAP.  verify
 # repeats every check once per delta; at both caps its two series checks
 # alone take about 6 s.
 ORDER_CAP = 128
 DELTA_COUNT_CAP = 64
+
+# verify's memory grows with |delta|: block-growth's window and the split
+# partner of weight-class-split-counts hold about |delta| entries (at
+# --max-size 0, delta = -3 * 10**6 peaked at 323 MB).  At this cap a run at
+# the other three caps takes about as long as at small delta (7-8 s, 19 MB).
+VERIFY_DELTA_CAP = 1000
+
+
+def _require_abs_capped(name: str, value, cap: int) -> None:
+    if abs(value) > cap:
+        raise ValueError(f"|{name}| is above the cap {cap}")
 
 
 def _require_capped(args) -> None:
     first = args.partition.part(1)
     if first > LABEL_CAP:
         raise ValueError(f"--partition has first part {first}, above the cap {LABEL_CAP}")
-    if abs(args.delta) > LABEL_CAP:
-        raise ValueError(f"|--delta| is above the cap {LABEL_CAP}")
+    _require_abs_capped("--delta", args.delta, LABEL_CAP)
 
 
 def _text_lines(value, indent: int = 0) -> list[str]:
@@ -206,6 +218,8 @@ def _series_check(args) -> dict:
         raise ValueError("--order must be nonnegative")
     if args.order > ORDER_CAP:
         raise ValueError(f"--order above the cap {ORDER_CAP}")
+    _require_abs_capped("numerator of --delta", args.delta.numerator, LABEL_CAP)
+    _require_abs_capped("denominator of --delta", args.delta.denominator, LABEL_CAP)
     gammas = brauer_gammas(args.delta, args.order + 1)
     product_ok = check_reflection_product(gammas, args.order)
     admissible_ok = check_admissible(gammas, args.order)
@@ -242,6 +256,8 @@ def _verify(args) -> dict:
         raise ValueError("--delta-min must not exceed --delta-max")
     if args.delta_max - args.delta_min >= DELTA_COUNT_CAP:
         raise ValueError(f"--delta-min..--delta-max spans more than {DELTA_COUNT_CAP} values")
+    _require_abs_capped("--delta-min", args.delta_min, VERIFY_DELTA_CAP)
+    _require_abs_capped("--delta-max", args.delta_max, VERIFY_DELTA_CAP)
     results = verify_mod.run_verify(
         max_size=args.max_size,
         delta_lo=args.delta_min,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from operator import ge, neg
+from operator import ge, index, neg
 
 HALF = Fraction(1, 2)
 
@@ -53,13 +53,21 @@ def integral(value, message: str) -> int:
     return q.numerator
 
 
+def _part(value) -> int:
+    """value as an int part; a float, a string or a Fraction is refused."""
+    try:
+        return index(value)
+    except TypeError:
+        raise PartitionError(f"partition entry {value!r} is not an integer") from None
+
+
 class Partition:
     """Immutable weakly decreasing sequence of positive integers."""
 
     __slots__ = ("parts", "size")
 
     def __init__(self, parts=()):
-        parts = tuple(map(int, parts))
+        parts = tuple(map(_part, parts))
         if not all(map(ge, parts, parts[1:])):
             a, b = next((a, b) for a, b in zip(parts, parts[1:]) if b > a)
             raise PartitionError(f"not weakly decreasing: {a} before {b}")
@@ -105,16 +113,11 @@ class Partition:
         """The k-th part, 1-based, zero beyond the length."""
         return self.parts[k - 1] if 1 <= k <= len(self.parts) else 0
 
-    def boxes(self):
-        """Iterate over the boxes (row, column) of the Young diagram, 1-based."""
-        for i, row in enumerate(self.parts, 1):
-            for j in range(1, row + 1):
-                yield (i, j)
-
     def contents(self, delta) -> list[Fraction]:
-        """Shifted contents (delta - 1)/2 + (j - i), one value per box."""
+        """Shifted contents (delta - 1)/2 + (j - i), one value per box (row i,
+        column j, both 1-based), row by row."""
         base = (Fraction(delta) - 1) / 2
-        return [base + (j - i) for (i, j) in self.boxes()]
+        return [base + (j - i) for i, row in enumerate(self.parts, 1) for j in range(1, row + 1)]
 
     def transpose(self) -> "Partition":
         """Reflect the diagram: row k of the result counts parts >= k.

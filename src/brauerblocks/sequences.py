@@ -27,15 +27,15 @@ equal rows, for a label with r rows in O(runs * log r + sum over runs of
 min(part, run length)); :func:`transpose_has_zero` reads the zero flag
 alone, by one binary search over the rows.  Callers that hold a label read
 its negative-entry count and zero flag from it directly;
-:func:`orbit_twice_key`, :func:`orbit_key` and :func:`same_orbit` call it
-on the shape's transpose.
+:func:`orbit_key` and :func:`same_orbit` call it on the shape's transpose.
 ``blocks.brauer_algebra_blocks`` applies the same rule one row at a time,
 along one walk over all labels up to a size.  The reflection-descent
 oracle in ``blocks`` checks both independently.
 The :class:`OrbitKey` holds the twice-key as it is, with twice the charge.
-Fractions appear only at the public edge, in a :class:`ChargedSequence`
-(:func:`make_sequence`, :meth:`ChargedSequence.entry`) and
-:func:`shape_from_entries`.
+Fractions appear only in :class:`ChargedSequence` (:func:`make_sequence`,
+:meth:`ChargedSequence.entry`) and :func:`shape_from_entries`, which with
+:func:`orbit_key` and :func:`same_orbit` no other module of the package
+calls: the tests read the orbit rule entry by entry through them.
 """
 
 from __future__ import annotations
@@ -171,18 +171,13 @@ def transpose_has_zero(c2: int, parts: tuple[int, ...]) -> bool:
     return j == length or parts[j] - j - 1 != t
 
 
-def orbit_twice_key(c2: int, shape: Partition) -> tuple:
-    """The orbit invariant of the sequence of `shape` at charge c2/2, in
-    twice-units; see :func:`transpose_profile`."""
-    return transpose_profile(c2, shape.transpose().parts)[0]
-
-
 def orbit_key(seq: ChargedSequence) -> OrbitKey:
     """Deviation multiset over the window, against the vacuum; beyond the
     window the two sequences coincide entry by entry.  The twice-key of
-    :func:`orbit_twice_key` with twice the charge."""
+    :func:`transpose_profile`, read off the shape's transpose, with twice
+    the charge."""
     c2 = twice(seq.charge)
-    return OrbitKey(c2, *orbit_twice_key(c2, seq.shape))
+    return OrbitKey(c2, *transpose_profile(c2, seq.shape.transpose().parts)[0])
 
 
 def same_orbit(s: ChargedSequence, t: ChargedSequence) -> bool:
@@ -190,4 +185,5 @@ def same_orbit(s: ChargedSequence, t: ChargedSequence) -> bool:
     if s.charge != t.charge:
         raise ValueError("orbits compare only within one sector")
     c2 = twice(s.charge)
-    return orbit_twice_key(c2, s.shape) == orbit_twice_key(c2, t.shape)
+    key_s, key_t = (transpose_profile(c2, q.shape.transpose().parts)[0] for q in (s, t))
+    return key_s == key_t

@@ -73,6 +73,13 @@ from .weights import (
 # The largest size the matrix accepts (under 1 s at the default delta range).
 SIZE_CAP = 10
 
+# wedge-box-moves tries the operator indices |i| <= INDEX_BOUND, block-growth
+# looks for a second member within GROWTH_WINDOW boxes above the label, and
+# rational-function-weight tries a with |twice(a)| <= TWICE_BOUND.
+INDEX_BOUND = 10
+GROWTH_WINDOW = 16
+TWICE_BOUND = 9
+
 
 @dataclass
 class CheckResult:
@@ -302,11 +309,11 @@ def _box_move_problem(shape: Partition, c2: int, t: int, index: Fraction, base_w
     return None
 
 
-def _box_move_mismatch(max_size: int, deltas, index_bound: int) -> str | None:
+def _box_move_mismatch(max_size: int, deltas) -> str | None:
     shapes = enumerate_partitions(max_size)
     for delta in deltas:
         # twice-indices t = 2i of the parity of delta - 1, with i = t/2
-        indices = [(t, half(t)) for t in range(-2 * index_bound + (delta - 1) % 2, 2 * index_bound + 1, 2)]
+        indices = [(t, half(t)) for t in range(-2 * INDEX_BOUND + (delta - 1) % 2, 2 * INDEX_BOUND + 1, 2)]
         # the two admissible weight shifts of b_i depend on (i, delta) only
         for t, i in indices:
             if not reduce_mod_qtheta(vector_diff({t: 1}, {-t: -1}), delta).is_zero:
@@ -320,34 +327,35 @@ def _box_move_mismatch(max_size: int, deltas, index_bound: int) -> str | None:
     return None
 
 
-def check_box_moves(max_size: int, deltas, index_bound: int = 10) -> CheckResult:
+def check_box_moves(max_size: int, deltas) -> CheckResult:
     """apply_b output shapes match the row-level add/remove oracle, each term
     has coefficient 1 and differs from the input by one box, and its weight
     shift is +alpha_i (raising) or -alpha_{-i} (lowering), the two options
     agreeing modulo the symmetrised sublattice."""
-    scope = f"sizes<={max_size}, |i|<={index_bound}, delta in {list(deltas)}"
-    return _check("wedge-box-moves", scope, _box_move_mismatch, max_size, deltas, index_bound)
+    scope = f"sizes<={max_size}, |i|<={INDEX_BOUND}, delta in {list(deltas)}"
+    return _check("wedge-box-moves", scope, _box_move_mismatch, max_size, deltas)
 
 
-def _growth_shortfall(max_size: int, deltas, window: int) -> str | None:
+def _growth_shortfall(max_size: int, deltas) -> str | None:
     parts = enumerate_partitions(max_size)
     for delta in deltas:
         for lam in parts:
-            members = enumerate_block_members(lam, delta, lam.size + window)
+            bound = lam.size + GROWTH_WINDOW
+            members = enumerate_block_members(lam, delta, bound)
             if len(members) < 2:
-                return f"lam={list(lam.parts)} delta={delta}: only {len(members)} member(s) within size {lam.size + window}"
+                return f"lam={list(lam.parts)} delta={delta}: only {len(members)} member(s) within size {bound}"
     return None
 
 
-def check_block_growth(max_size: int, deltas, window: int = 16) -> CheckResult:
+def check_block_growth(max_size: int, deltas) -> CheckResult:
     """Every block meets the enumeration window at least twice: desk-scale
     evidence that blocks keep growing."""
-    scope = f"sizes<={max_size}, delta in {list(deltas)}, window +{window}"
-    return _check("block-growth", scope, _growth_shortfall, max_size, deltas, window)
+    scope = f"sizes<={max_size}, delta in {list(deltas)}, window +{GROWTH_WINDOW}"
+    return _check("block-growth", scope, _growth_shortfall, max_size, deltas)
 
 
-def _rational_weight_mismatch(twice_bound: int) -> str | None:
-    for t in range(-twice_bound, twice_bound + 1):
+def _rational_weight_mismatch() -> str | None:
+    for t in range(-TWICE_BOUND, TWICE_BOUND + 1):
         a = half(t)
         got = weight_of_rational(gamma_factor(a))
         expected = vector_diff(alpha_in_omega(a), alpha_in_omega(-a))
@@ -356,11 +364,11 @@ def _rational_weight_mismatch(twice_bound: int) -> str | None:
     return None
 
 
-def check_rational_weight(twice_bound: int = 9) -> CheckResult:
+def check_rational_weight() -> CheckResult:
     """weight(gamma_a) == alpha_a - alpha_{-a} in fundamental-weight
     coordinates, across integer and half-integer a."""
-    scope = f"twice(a) in [-{twice_bound}..{twice_bound}]"
-    return _check("rational-function-weight", scope, _rational_weight_mismatch, twice_bound)
+    scope = f"twice(a) in [-{TWICE_BOUND}..{TWICE_BOUND}]"
+    return _check("rational-function-weight", scope, _rational_weight_mismatch)
 
 
 def _key_mismatch(max_size: int, deltas, flip_parity_of: Partition | None) -> str | None:
@@ -414,13 +422,7 @@ def check_key_consistency(max_size: int, deltas, flip_parity_of: Partition | Non
     return _check("key-consistency", scope, _key_mismatch, max_size, deltas, flip_parity_of)
 
 
-def run_verify(
-    max_size: int = 5,
-    delta_lo: int = -3,
-    delta_hi: int = 5,
-    order: int = 24,
-    inject_fault: bool = False,
-) -> list[CheckResult]:
+def run_verify(max_size: int, delta_lo: int, delta_hi: int, order: int, inject_fault: bool) -> list[CheckResult]:
     """The full matrix at the requested scale: every check but block-growth
     runs at max_size, and the delta range and the truncation order apply as
     given."""
@@ -435,8 +437,8 @@ def run_verify(
         check_series_product(deltas, order),
         check_admissibility(deltas, order),
         check_box_moves(max_size, deltas),
-        # the +16 window is fixed, and above size 4 a second member can lie
-        # beyond it (lam=[2, 2, 1] at delta=4, size 5), a false failure
+        # above size 4 a second member can lie beyond GROWTH_WINDOW
+        # (lam=[2, 2, 1] at delta=4, size 5), a false failure
         check_block_growth(min(max_size, 4), deltas),
         check_rational_weight(),
         check_key_consistency(max_size, deltas, flip_parity_of=fault),

@@ -23,7 +23,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .partitions import Partition, canonical_key, twice
-from .sequences import ChargedSequence
 
 
 class WedgeVector:
@@ -40,10 +39,6 @@ class WedgeVector:
             shape: c if isinstance(c, (int, Fraction)) else Fraction(c)
             for shape, c in (terms or {}).items() if c
         }
-
-    @classmethod
-    def basis(cls, seq: ChargedSequence) -> "WedgeVector":
-        return cls(twice(seq.charge), {seq.shape: 1})
 
     @property
     def is_zero(self) -> bool:

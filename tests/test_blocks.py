@@ -20,7 +20,6 @@ from brauerblocks.blocks import (
     enumerate_block_members,
     same_block,
     same_block_report,
-    sector_charge,
 )
 from brauerblocks.central import central_character
 from brauerblocks.partitions import Partition, canonical_key, enumerate_partitions, partitions_of_size
@@ -118,7 +117,7 @@ def _tail_walk_classify(lam: Partition, delta):
     # the split rule read entry by entry in Fractions: walk the tail until an
     # entry whose negative fits before the first entry, move it to the front
     # with its sign flipped, and read the shape back from the entries
-    seq = make_sequence(lam.transpose(), sector_charge(delta))
+    seq = make_sequence(lam.transpose(), Fraction(delta, 2) - 1)
     window_zero = any(seq.entry(k) == 0 for k in range(1, seq.length + 1))
     pos = -seq.charge
     tail_zero = pos.denominator == 1 and pos.numerator >= seq.length + 1
@@ -502,7 +501,7 @@ def test_dot_orbit_guards():
 def test_dot_orbit_matches_sequence_orbits_small():
     parts = enumerate_partitions(3)
     for delta in (-1, 0, 2):
-        charge = sector_charge(delta)
+        charge = Fraction(delta, 2) - 1
         for a in parts:
             for b in parts:
                 if (a.size - b.size) % 2 != 0:
@@ -620,7 +619,7 @@ def test_orbit_check_fails_when_the_criterion_ignores_parity(monkeypatch):
     n, delta = int(found.group(3)), int(found.group(4))
     # the named pair really lies in two orbits, by the BFS, though its absolute entries agree
     assert not dot_orbit_member(a, b, n, delta)
-    charge = sector_charge(delta)
+    charge = Fraction(delta, 2) - 1
     assert abs_multiset_only(make_sequence(a, charge), make_sequence(b, charge))
     assert verify.check_orbit_vs_bfs(4, range(-2, 4)).counterexample == result.counterexample
 

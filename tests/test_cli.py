@@ -467,6 +467,35 @@ def test_label_above_the_cap_exits_2_at_once(capsys):
     assert "above the cap" in message
 
 
+def test_verify_delta_above_the_cap_exits_2_at_once(capsys):
+    # verify's memory grows with |delta|, so a range beyond the cap is
+    # refused before any check runs
+    cap = cli.VERIFY_DELTA_CAP
+    for lo, hi, name in ((-10**9, -10**9, "--delta-min"), (-cap - 1, -cap, "--delta-min"), (cap, cap + 1, "--delta-max")):
+        started = time.perf_counter()
+        message = _usage_error(capsys, "verify", "--max-size", "0", f"--delta-min={lo}", f"--delta-max={hi}")
+        assert time.perf_counter() - started < 1
+        assert message.endswith(f"|{name}| is above the cap {cap}")
+    for delta in (-cap, cap):
+        code, payload = run_json(capsys, "verify", "--max-size", "0", f"--delta-min={delta}", f"--delta-max={delta}")
+        assert code in (0, 1) and payload["parameters"]["delta_min"] == delta
+        # block-growth's fixed window fails at these deltas (see the xfail test above)
+        assert [c["name"] for c in payload["checks"] if not c["passed"]] in ([], ["block-growth"])
+
+
+def test_series_check_delta_above_the_cap_exits_2_at_once(capsys):
+    # the series' Fractions grow with the digits of delta
+    big = cli.LABEL_CAP + 1
+    order = str(cli.ORDER_CAP)
+    for delta, part in (("1/" + "7" * 400, "denominator"), (str(big), "numerator"), (f"-{big}/3", "numerator")):
+        started = time.perf_counter()
+        message = _usage_error(capsys, "series-check", f"--delta={delta}", "--order", order)
+        assert time.perf_counter() - started < 1
+        assert message.endswith(f"|{part} of --delta| is above the cap {cli.LABEL_CAP}")
+    code, payload = run_json(capsys, "series-check", f"--delta=-{cli.LABEL_CAP - 1}/{cli.LABEL_CAP}")
+    assert code == 0 and payload["passed"] is True
+
+
 def test_same_block_and_block_key_take_labels_above_the_cap(capsys):
     # both read the key off a label's runs of rows, whatever its first part
     def row_key(n):

@@ -4,8 +4,9 @@ The grammar covers every subcommand with small arguments (delta a small
 integer, a fraction, junk, or a decimal, exponent or 5,000-digit form;
 partitions of at most 6 parts, sometimes not descending; operator indices
 up to +-99999999999/2, junk or the same outsized forms; small ranks,
-orders, size bounds and delta ranges, and the ranks, orders and
-delta-range widths on both sides of the CLI's caps), plus stray
+orders, size bounds and delta ranges, the ranks, orders and delta-range
+widths on both sides of the CLI's caps, and a series-check delta and a
+verify delta range beyond theirs), plus stray
 ``--jobs`` and ``--force`` flags.  Delta and the index are written
 ``--name=value``, so that negative fractions reach the library.  Each argv
 runs in-process with its streams redirected: the exit code must be 0, 1 or 2,
@@ -20,7 +21,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brauerblocks.cli import BRAUER_N_CAP, DELTA_COUNT_CAP, ORDER_CAP, RANK_CAP, main
+from brauerblocks.cli import BRAUER_N_CAP, DELTA_COUNT_CAP, LABEL_CAP, ORDER_CAP, RANK_CAP, VERIFY_DELTA_CAP, main
 
 JUNK = st.sampled_from(["x", "1/0", "", "2.5.1", "1e3", "--", "-"])
 
@@ -76,6 +77,10 @@ ORDER = st.one_of(st.integers(-1, 8), st.sampled_from([ORDER_CAP, ORDER_CAP + 1]
 RANK = st.one_of(st.integers(-1, 5), st.sampled_from([RANK_CAP, RANK_CAP + 1]))
 # brauer-blocks takes seconds at its cap, so only the values above it
 BRAUER_N = st.one_of(st.integers(-1, 10), st.sampled_from([BRAUER_N_CAP + 1, 10**12]))
+# and a delta beyond each delta cap: for series-check one whose denominator
+# is above LABEL_CAP, for verify a delta-min just below -VERIFY_DELTA_CAP
+SERIES_DELTA = st.one_of(DELTA, st.just(f"1/{LABEL_CAP + 1}"))
+VERIFY_DELTA_MIN = st.one_of(st.integers(-6, 7), st.just(-VERIFY_DELTA_CAP - 1))
 
 
 def _verify(size, lo, span, order, fault):
@@ -87,7 +92,7 @@ def _verify(size, lo, span, order, fault):
 
 # a wide delta range runs only at small orders: at the caps of both, verify takes seconds
 VERIFY = st.one_of(
-    st.builds(_verify, st.integers(0, 2), st.integers(-6, 7), st.integers(-1, 1), ORDER, st.booleans()),
+    st.builds(_verify, st.integers(0, 2), VERIFY_DELTA_MIN, st.integers(-1, 1), ORDER, st.booleans()),
     st.builds(
         _verify,
         st.integers(0, 2),
@@ -107,7 +112,7 @@ ARGV = st.one_of(
     _command("dot-orbit", delta=DELTA, lhs=PARTITION, rhs=PARTITION, n=RANK.map(str)),
     _command("central-char", delta=DELTA, partition=PARTITION),
     _command("centrally-equivalent", delta=DELTA, lhs=PARTITION, rhs=PARTITION),
-    _command("series-check", delta=DELTA, order=ORDER.map(str)),
+    _command("series-check", delta=SERIES_DELTA, order=ORDER.map(str)),
     _command(
         "wedge-apply", delta=DELTA, shape=PARTITION, index=INDEX, op=st.sampled_from(["b", "raising", "lowering"])
     ),

@@ -1,9 +1,11 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every public name of the package has a caller outside the tests.
 
 No linter ships with the toolchain, so this reads each module with ``ast``.
-A name counts as used when it occurs anywhere in the module, annotations
-included (quoted ones are parsed too).  ``__init__.py`` is left out: it
-imports names to re-export them.
+A name counts as used when it occurs anywhere in the module's code,
+annotations included (quoted ones are parsed too), but not in its
+docstrings.  ``__init__.py`` is left out: it imports names to re-export
+them.
 """
 
 import ast
@@ -11,7 +13,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "brauerblocks"
+import brauerblocks
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "brauerblocks"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -56,3 +61,18 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("from fractions import Fraction\nimport os\nx: 'Fraction' = 1\n")
     assert set(_imported(tree)) - _used(tree) == {"os"}
+
+
+def test_every_public_name_has_a_caller():
+    # a name the package exports is used by one of its modules, or by the
+    # benchmark's workloads through the package object ``bb``; a name only
+    # the tests use stays in its module, off the package's surface
+    used = set().union(*(_used(ast.parse(path.read_text())) for path in MODULES))
+    workloads = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    used |= {
+        node.attr
+        for node in ast.walk(workloads)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "bb"
+    }
+    public = set(brauerblocks.__all__) - {"__version__"}
+    assert sorted(public - used) == []

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import groupby
 
@@ -149,6 +150,13 @@ def test_constructor_rejects_invalid():
         Partition((2, 0))
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, "3", Fraction(5, 2)])
+def test_constructor_rejects_nonintegral_parts(bad):
+    # int() would truncate 2.5 to 2 and read "3" as 3
+    with pytest.raises(PartitionError, match=f"^partition entry {re.escape(repr(bad))} is not an integer$"):
+        Partition((3, bad))
+
+
 def test_half_integer_helpers():
     assert half(3) == Fraction(3, 2)
     assert twice(Fraction(-5, 2)) == -5
@@ -163,8 +171,9 @@ def test_transpose_of_large_hooks_and_columns():
     for lam in hooks:
         # column j holds #{i : lam_i >= j} boxes; counting boxes costs O(size)
         columns: dict[int, int] = {}
-        for _, j in lam.boxes():
-            columns[j] = columns.get(j, 0) + 1
+        for row in lam.parts:
+            for j in range(1, row + 1):
+                columns[j] = columns.get(j, 0) + 1
         t = lam.transpose()
         assert t.parts == tuple(columns[j] for j in range(1, lam.part(1) + 1))
         assert t.transpose() == lam

@@ -13,7 +13,6 @@ from brauerblocks.sequences import (
     OrbitKey,
     make_sequence,
     orbit_key,
-    orbit_twice_key,
     same_orbit,
     shape_from_entries,
     transpose_profile,
@@ -227,7 +226,7 @@ def test_twice_key_equality_equals_orbit_key_equality():
         seqs = [make_sequence(lam, charge) for lam in parts]
         keys = [_per_entry_orbit_key(s) for s in seqs]
         assert [orbit_key(s) for s in seqs] == keys
-        twice_keys = [orbit_twice_key(delta - 2, lam) for lam in parts]
+        twice_keys = [transpose_profile(delta - 2, lam.transpose().parts)[0] for lam in parts]
         for i in range(len(parts)):
             for j in range(i, len(parts)):
                 assert (twice_keys[i] == twice_keys[j]) == (keys[i] == keys[j])

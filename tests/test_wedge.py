@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from brauerblocks import verify
 from brauerblocks.partitions import Partition, enumerate_partitions, twice
-from brauerblocks.sequences import make_sequence
 from brauerblocks.wedge import (
     WedgeVector,
     apply_b,
@@ -21,8 +20,8 @@ from brauerblocks.weights import reduce_mod_qtheta, vector_diff, weight_alpha_pa
 H = Fraction(1, 2)
 
 
-def _basis(parts, charge=0):
-    return WedgeVector.basis(make_sequence(Partition(parts), charge))
+def _basis(parts):
+    return WedgeVector(0, {Partition(parts): 1})
 
 
 def test_raising_examples():
@@ -78,15 +77,13 @@ def test_relative_weight_matches_label_weight():
 
 def test_b_moves_one_box_with_unit_coefficients():
     for delta in (-2, 1, 2, 3):
-        charge = Fraction(delta, 2) - 1
         parity = (delta - 1) % 2
         # twice-indices t of the operator indices i = t/2
         indices = [t for t in range(-9, 10) if t % 2 == parity]
         for shape in enumerate_partitions(4):
-            seq = make_sequence(shape, charge)
             base = relative_weight(delta - 2, shape)
             for t in indices:
-                out = apply_b(Fraction(t, 2), WedgeVector.basis(seq))
+                out = apply_b(Fraction(t, 2), WedgeVector(delta - 2, {shape: 1}))
                 assert len(out.terms) <= 2
                 for term, coeff in out.terms.items():
                     assert coeff == 1
