@@ -47,8 +47,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
-from .partitions import _PARTS, _SIZE, Partition, canonical_key, integral, row_runs
+from .partitions import _PARTS, _SIZE, Partition, integral, row_runs
 from .sequences import OrbitKey, transpose_has_zero, transpose_profile
 
 BFS_RANK_CAP = 8
@@ -181,7 +182,12 @@ def enumerate_block_members(lam: Partition, delta, max_size: int) -> list[Partit
             flipped.pop()
 
     visit(0, [], budget)
-    return sorted(members, key=canonical_key)
+    # the canonical order by two stable C-keyed sorts: two distinct members
+    # of one size are never prefixes of each other, so descending parts
+    # order them as canonical_key does
+    members.sort(key=attrgetter("parts"), reverse=True)
+    members.sort(key=attrgetter("size"))
+    return members
 
 
 def brauer_algebra_blocks(n: int, delta) -> list[list[Partition]]:

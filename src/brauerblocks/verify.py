@@ -40,6 +40,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache, partial
 from itertools import chain
 
 from .blocks import (
@@ -262,48 +263,47 @@ def check_admissibility(deltas, order: int) -> CheckResult:
     )
 
 
-def _expected_box_moves(shape: Partition, c2: int, t: int) -> list[Partition]:
-    """Row-level oracle for the action of b_i, i = t/2, on the basis sequence
-    of twice-charge c2: remove the box in the row whose entry equals
-    i - 1/2 when the row stays weakly decreasing, and add a box in the row
-    whose entry equals -i + 1/2 under the same proviso.  Twice the entry of
-    row k is c2 + 2(k - shape_k)."""
-    out: list[Partition] = []
-    for k in range(1, len(shape) + 1):
-        if c2 + 2 * (k - shape.part(k)) == t - 1 and shape.part(k) > shape.part(k + 1):
+def _expected_box_moves(shape: Partition, c2: int) -> tuple[dict[int, Partition], dict[int, Partition]]:
+    """Row-level oracle for the action of every b_i on the basis sequence of
+    shape at twice-charge c2, read once: maps from a twice-entry to the
+    shape with one box removed from, or added to, the row of that entry,
+    over the rows that stay weakly decreasing.  b_i, i = t/2, removes the
+    box of the row whose entry equals i - 1/2 (key t - 1) and adds a box to
+    the row whose entry equals -i + 1/2 (key 1 - t).  Twice the entry of row
+    k is c2 + 2(k - shape_k)."""
+    removed: dict[int, Partition] = {}
+    added: dict[int, Partition] = {}
+    for k in range(1, len(shape) + 2):
+        entry = c2 + 2 * (k - shape.part(k))
+        if shape.part(k) > shape.part(k + 1):
             parts = list(shape.parts)
             parts[k - 1] -= 1
-            out.append(Partition([p for p in parts if p > 0]))
-    for k in range(1, len(shape) + 2):
-        if c2 + 2 * (k - shape.part(k)) == 1 - t and (k == 1 or shape.part(k - 1) > shape.part(k)):
+            removed[entry] = Partition([p for p in parts if p > 0])
+        if k == 1 or shape.part(k - 1) > shape.part(k):
             parts = list(shape.parts)
             while len(parts) < k:
                 parts.append(0)
             parts[k - 1] += 1
-            out.append(Partition(parts))
-    return out
+            added[entry] = Partition(parts)
+    return removed, added
 
 
-def _box_move_problem(shape: Partition, c2: int, t: int, index: Fraction, base_weight: dict) -> str | None:
-    """What is wrong with b_index, index = t/2, on the basis vector of shape
-    at twice-charge c2, whose relative weight is base_weight, or None."""
-    result = apply_b(index, WedgeVector(c2, {shape: 1}))
-    got = sorted(
-        (tuple(s.parts) for s in result.terms),
-        key=lambda p: (sum(p), p),
-    )
-    expected = sorted(
-        (tuple(p.parts) for p in _expected_box_moves(shape, c2, t)),
-        key=lambda p: (sum(p), p),
-    )
-    if got != expected:
-        return f"terms {got} != oracle {expected}"
+def _box_move_problem(result: WedgeVector, shape: Partition, t: int, expected: set, weight) -> str | None:
+    """What is wrong with result = b_i on the basis vector of shape, i = t/2,
+    given the oracle's set of output shapes and weight(s), the relative
+    weight of a shape of the sector, or None."""
+    if result.terms.keys() != expected:
+        got, want = (
+            sorted((tuple(s.parts) for s in shapes), key=lambda p: (sum(p), p))
+            for shapes in (result.terms, expected)
+        )
+        return f"terms {got} != oracle {want}"
     for shape_out, coeff in result.terms.items():
         if coeff != 1:
             return f"coefficient {coeff}"
         if abs(shape_out.size - shape.size) != 1:
             return "size changes by more than one box"
-        shift = vector_diff(relative_weight(c2, shape_out), base_weight)
+        shift = vector_diff(weight(shape_out), weight(shape))
         if shift not in ({t: 1}, {-t: -1}):
             return f"weight shift {shift}"
     return None
@@ -312,16 +312,20 @@ def _box_move_problem(shape: Partition, c2: int, t: int, index: Fraction, base_w
 def _box_move_mismatch(max_size: int, deltas) -> str | None:
     shapes = enumerate_partitions(max_size)
     for delta in deltas:
+        c2 = delta - 2
         # twice-indices t = 2i of the parity of delta - 1, with i = t/2
         indices = [(t, half(t)) for t in range(-2 * INDEX_BOUND + (delta - 1) % 2, 2 * INDEX_BOUND + 1, 2)]
         # the two admissible weight shifts of b_i depend on (i, delta) only
         for t, i in indices:
             if not reduce_mod_qtheta(vector_diff({t: 1}, {-t: -1}), delta).is_zero:
                 return f"i={i} delta={delta}: the two shift options differ modulo the sublattice"
+        weight = cache(partial(relative_weight, c2))
         for shape in shapes:
-            base_weight = relative_weight(delta - 2, shape)
+            basis = WedgeVector(c2, {shape: 1})
+            removed, added = _expected_box_moves(shape, c2)
             for t, i in indices:
-                problem = _box_move_problem(shape, delta - 2, t, i, base_weight)
+                expected = {s for s in (removed.get(t - 1), added.get(1 - t)) if s is not None}
+                problem = _box_move_problem(apply_b(i, basis), shape, t, expected, weight)
                 if problem is not None:
                     return f"shape={list(shape.parts)} i={i} delta={delta}: {problem}"
     return None
@@ -331,7 +335,8 @@ def check_box_moves(max_size: int, deltas) -> CheckResult:
     """apply_b output shapes match the row-level add/remove oracle, each term
     has coefficient 1 and differs from the input by one box, and its weight
     shift is +alpha_i (raising) or -alpha_{-i} (lowering), the two options
-    agreeing modulo the symmetrised sublattice."""
+    agreeing modulo the symmetrised sublattice.  The oracle is read once per
+    shape and delta, and apply_b runs once per shape, delta and index."""
     scope = f"sizes<={max_size}, |i|<={INDEX_BOUND}, delta in {list(deltas)}"
     return _check("wedge-box-moves", scope, _box_move_mismatch, max_size, deltas)
 

@@ -16,10 +16,15 @@ Operator indices i are half-integers of parity opposite to the charge
 convert it once per call; below that, entries, indices and weight keys
 are twice-values: twice the k-th entry of a shape's sequence is
 c2 + 2(k - shape_k), and the simple root alpha_i is keyed by 2i.
+
+Each move on a term costs O(1) when its entry lies in the tail or below
+the first row, and one binary search over the rows otherwise; b_i makes
+its two moves in one pass over the terms and builds one vector.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .partitions import Partition, canonical_key, twice
@@ -76,53 +81,64 @@ class WedgeVector:
 def _moved(c2: int, shape: Partition, source: int, step: int) -> Partition | None:
     """The shape whose sequence has the entry of twice-value source moved by
     step (+1 or -1), or None when no entry matches or the move collides with
-    a neighbour.  Beyond the shape's length the entries are the vacuum's, so
-    a tail entry can only move down, and only from position length + 1."""
-    length = len(shape)
+    a neighbour.
 
-    def entry(k: int) -> int:
-        return c2 + 2 * (k - shape.part(k))
-
-    k = next((m for m in range(1, length + 1) if entry(m) == source), None)
-    if k is None:
-        k, odd = divmod(source - c2, 2)
-        if odd or k <= length:
-            return None
-    if k + step >= 1 and entry(k + step) == source + 2 * step:
+    Row k holds the entry c2 + 2d for d = k - shape_k, which strictly
+    increases in k; beyond the shape's length the entries are the vacuum's,
+    d = k.  So a parity mismatch, a d beyond the length (a tail entry, which
+    can only move down, and only from row length + 1) and a d below the
+    first row's 1 - shape_1 are answered in O(1), and any other d costs one
+    binary search over the rows."""
+    d, odd = divmod(source - c2, 2)
+    parts = shape.parts
+    length = len(parts)
+    if odd or d < 1 - shape.part(1):
         return None
-    # the collision test leaves k <= length + 1, so at most one part is added
-    parts = list(shape.parts) + [0] * (k - length)
-    parts[k - 1] -= step
-    return Partition(p for p in parts if p)
+    if d > length:
+        if step > 0 or d > length + 1:
+            return None
+        return Partition._unchecked(parts + (1,), shape.size + 1)
+    j = bisect_left(range(length), d, key=lambda m: m + 1 - parts[m])  # row j + 1
+    p = shape.part(j + 1)
+    # no row holds d, or the neighbour the entry moves toward is as long
+    if j + 1 - p != d or shape.part(j + 1 + step) == p:
+        return None
+    q = p - step
+    return Partition._unchecked(parts[:j] + ((q,) if q else ()) + parts[j + 1:], shape.size - step)
 
 
-def _apply_move(i2: int, vector: WedgeVector, step: int) -> WedgeVector:
-    """Move the entry of twice-value i2 - step by step in every term."""
+def _apply_moves(i2: int, vector: WedgeVector, moves) -> WedgeVector:
+    """Sum over the (source, step) moves of moving that entry in every term,
+    for the operator of twice-index i2; one dict, one vector."""
     c2 = vector.twice_charge
     if (i2 + c2) % 2 == 0:
         raise ValueError("operator index parity does not match the sector")
     out: dict[Partition, int | Fraction] = {}
     for shape, coeff in vector.terms.items():
-        moved = _moved(c2, shape, i2 - step, step)
-        if moved is not None:
-            out[moved] = out.get(moved, 0) + coeff
+        for source, step in moves:
+            moved = _moved(c2, shape, source, step)
+            if moved is not None:
+                out[moved] = out.get(moved, 0) + coeff
     return WedgeVector(c2, out)
 
 
 def apply_raising(index, vector: WedgeVector) -> WedgeVector:
     """Move the entry equal to index - 1/2 up by one step."""
-    return _apply_move(twice(index), vector, +1)
+    i2 = twice(index)
+    return _apply_moves(i2, vector, ((i2 - 1, +1),))
 
 
 def apply_lowering(index, vector: WedgeVector) -> WedgeVector:
     """Move the entry equal to index + 1/2 down by one step."""
-    return _apply_move(twice(index), vector, -1)
+    i2 = twice(index)
+    return _apply_moves(i2, vector, ((i2 + 1, -1),))
 
 
 def apply_b(index, vector: WedgeVector) -> WedgeVector:
-    """The symmetric-pair generator: raising(index) + lowering(-index)."""
+    """The symmetric-pair generator: raising(index) + lowering(-index), both
+    moves made in one pass over the terms."""
     i2 = twice(index)
-    return _apply_move(i2, vector, +1) + _apply_move(-i2, vector, -1)
+    return _apply_moves(i2, vector, ((i2 - 1, +1), (1 - i2, -1)))
 
 
 def relative_weight(c2: int, shape: Partition) -> dict[int, int]:
