@@ -24,8 +24,6 @@ from .central import (
     centrally_equivalent,
     check_admissible,
     check_reflection_product,
-    gamma_factor,
-    weight_of_rational,
 )
 from .partitions import (
     Partition,
@@ -47,7 +45,6 @@ from .wedge import (
 )
 from .weights import (
     SymWeight,
-    alpha_in_omega,
     reduce_mod_qtheta,
     same_bar_weight,
     weight_alpha_part,
@@ -65,7 +62,6 @@ __all__ = [
     "SymWeight",
     "WILDCARD",
     "WedgeVector",
-    "alpha_in_omega",
     "apply_b",
     "apply_lowering",
     "apply_raising",
@@ -81,7 +77,6 @@ __all__ = [
     "dot_orbit_member",
     "enumerate_block_members",
     "enumerate_partitions",
-    "gamma_factor",
     "half",
     "parse_partition",
     "partitions_of_size",
@@ -92,6 +87,5 @@ __all__ = [
     "same_block_report",
     "twice",
     "weight_alpha_part",
-    "weight_of_rational",
     "__version__",
 ]

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import gc
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -117,7 +118,24 @@ def classify_weight_class(lam: Partition, delta) -> BlockClassification:
 
 
 def enumerate_block_members(lam: Partition, delta, max_size: int) -> list[Partition]:
-    """All labels of size <= max_size in the block of lam, canonical order.
+    """All labels of size <= max_size in the block of lam, canonical order:
+    the members of :func:`_block_members`, sorted."""
+    if max_size < lam.size:
+        raise ValueError("max_size must be at least the size of the partition")
+    if Fraction(delta).denominator != 1:
+        return [lam]
+    members = list(_block_members(lam, delta, max_size))
+    # the canonical order by two stable C-keyed sorts: two distinct members
+    # of one size are never prefixes of each other, so descending parts
+    # order them as canonical_key does
+    members.sort(key=attrgetter("parts"), reverse=True)
+    members.sort(key=attrgetter("size"))
+    return members
+
+
+def _block_members(lam: Partition, delta, max_size: int) -> Iterator[Partition]:
+    """The labels of size <= max_size (at least |lam|) in the block of lam,
+    in search order, lam alone for non-integral delta.
 
     Built from the orbit rather than by filtering candidates, in twice-units
     on the sequence of lam's transpose, read off lam's rows and written back
@@ -129,12 +147,13 @@ def enumerate_block_members(lam: Partition, delta, max_size: int) -> list[Partit
     keeps lam's count of negative free entries mod 2 unless 0 is an entry.
     The depth-first search over S with sum(S) <= max_size - |base| visits at
     most F + 2 sets per member found, for F free values within that budget:
-    a set of the wrong parity drops its largest value to reach a member."""
-    if max_size < lam.size:
-        raise ValueError("max_size must be at least the size of the partition")
+    a set of the wrong parity drops its largest value to reach a member.  It
+    runs on one list of the values in S, ascending, and the stack of their
+    indices, so a caller that stops early pays only for what it drew."""
     d = Fraction(delta)
     if d.denominator != 1:
-        return [lam]
+        yield lam
+        return
     h = d.numerator  # twice the entry at x is h + 2x
     length = len(lam)
     # read past every |negative entry| (the smallest entry is the first) and past 0
@@ -156,11 +175,13 @@ def enumerate_block_members(lam: Partition, delta, max_size: int) -> list[Partit
     tail = range(h + 2 * reach, budget + 1, 2)
     base = [v for v in entries if v not in free] + [abs(v) for v in free] + list(tail)
     flippable = sorted(a for a in map(abs, free) if a <= budget) + list(tail)
+    count = len(flippable)
     parity = None if 0 in present else len(free_negative) % 2
     width = len(base)
-    members: list[Partition] = []
-
-    def visit(start: int, flipped: list[int], room: int) -> None:
+    flipped: list[int] = []
+    stack: list[int] = []  # the index in flippable of each value in flipped
+    room, i = budget, 0
+    while True:
         if parity is None or len(flipped) % 2 == parity:
             negated = set(flipped)
             seq = sorted(-v if v in negated else v for v in base)
@@ -172,22 +193,18 @@ def enumerate_block_members(lam: Partition, delta, max_size: int) -> list[Partit
                 gap = seq[k] - seq[k - 1]
                 if gap > 2:
                     rows += [k] * (gap // 2 - 1)
-            members.append(Partition._unchecked(tuple(rows), max_size - room))
-        for i in range(start, len(flippable)):
-            a = flippable[i]
-            if a > room:
-                break
-            flipped.append(a)
-            visit(i + 1, flipped, room - a)
-            flipped.pop()
-
-    visit(0, [], budget)
-    # the canonical order by two stable C-keyed sorts: two distinct members
-    # of one size are never prefixes of each other, so descending parts
-    # order them as canonical_key does
-    members.sort(key=attrgetter("parts"), reverse=True)
-    members.sort(key=attrgetter("size"))
-    return members
+            yield Partition._unchecked(tuple(rows), max_size - room)
+        # the next set in search order: add the next value that fits, or
+        # drop the largest and try the value after it, as values ascend
+        while i >= count or flippable[i] > room:
+            if not stack:
+                return
+            i = stack.pop() + 1
+            room += flipped.pop()
+        flipped.append(flippable[i])
+        stack.append(i)
+        room -= flippable[i]
+        i += 1
 
 
 def brauer_algebra_blocks(n: int, delta) -> list[list[Partition]]:

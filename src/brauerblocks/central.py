@@ -15,6 +15,7 @@ expands a polynomial.  :func:`central_character` sums the exponents on a
 label's runs of equal rows, with every root scaled to an int (see its
 docstring), and builds Fractions only for the distinct roots it returns;
 :func:`centrally_equivalent` compares the int exponent maps.
+:func:`gamma_factor` wraps the int map of one gamma_c in the same way.
 
 The parameter sequence of the Brauer specialisation is
 gamma_a = delta * ((delta-1)/2)**a.  Its generating series
@@ -102,14 +103,24 @@ def _factor_str(root: Fraction, exponent: int) -> str:
     return base if exponent == 1 else f"{base}^{exponent}"
 
 
+def _gamma_exponents(a: int, b: int) -> dict[int, int]:
+    """The exponents of gamma_c(u) at c = a/b (b > 0, not necessarily in
+    lowest terms), keyed by the int b * root and with zeros dropped: the
+    four quadratics split into linear factors with roots -c+1, -c-1, c
+    (double) over c+1, c-1, -c (double)."""
+    exps: dict[int, int] = {}
+    for root, e in ((b - a, 1), (-b - a, 1), (a, 2), (b + a, -1), (a - b, -1), (-a, -2)):
+        exps[root] = exps.get(root, 0) + e
+    return {root: e for root, e in exps.items() if e}
+
+
 def gamma_factor(content) -> FactoredRational:
-    """Canonical factored form of gamma_c(u); the four quadratics split into
-    linear factors with roots -c+1, -c-1, c (double) over c+1, c-1, -c (double)."""
+    """Canonical factored form of gamma_c(u), from the int exponent map of
+    :func:`_gamma_exponents`, with one Fraction per distinct root."""
     c = Fraction(content)
-    factor_map: dict[Fraction, int] = {}
-    for root, e in ((1 - c, 1), (-1 - c, 1), (c, 2), (1 + c, -1), (c - 1, -1), (-c, -2)):
-        factor_map[root] = factor_map.get(root, 0) + e
-    return FactoredRational.from_parts(Fraction(1), factor_map)
+    b = c.denominator
+    exps = _gamma_exponents(c.numerator, b)
+    return FactoredRational(Fraction(1), tuple((Fraction(root, b), e) for root, e in sorted(exps.items())))
 
 
 def _root_exponents(parts: tuple[int, ...], a: int, b: int) -> dict[int, int]:

@@ -22,9 +22,10 @@ Label invariants are read once per label and delta, in twice-units,
 through :func:`~brauerblocks.sequences.transpose_profile`: the orbit key of
 a label's sequence off the rows of its transpose, and the negative-entry
 count and zero flag of its transposed sequence off its own rows.  Weights,
-wedge moves and operator indices are compared in twice-units (the simple
-root alpha_i keyed by 2i); counterexamples print an operator index i as a
-number.
+wedge moves, operator indices and the weight of gamma_a are compared in
+twice-units (the simple root alpha_i and the coordinate at omega_i keyed
+by 2i); counterexamples print an operator index i, a content a and the
+roots of gamma_a as numbers.
 
 `run_verify` executes the whole matrix at a requested size, at most
 :data:`SIZE_CAP`, and is the engine behind the ``verify`` CLI subcommand.
@@ -41,30 +42,28 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain
+from itertools import chain, islice
 
 from .blocks import (
+    _block_members,
     block_key,
     classify_weight_class,
     dot_dominant,
-    enumerate_block_members,
     same_block,
 )
 from .central import (
     FactoredRational,
+    _gamma_exponents,
     brauer_gammas,
     central_character,
     centrally_equivalent,
     check_admissible,
     check_reflection_product,
-    gamma_factor,
-    weight_of_rational,
 )
 from .partitions import HALF, Partition, enumerate_partitions, half
 from .sequences import WILDCARD, transpose_profile
 from .wedge import WedgeVector, apply_b, relative_weight
 from .weights import (
-    alpha_in_omega,
     reduce_mod_qtheta,
     same_bar_weight,
     vector_diff,
@@ -324,8 +323,12 @@ def _box_move_mismatch(max_size: int, deltas) -> str | None:
             basis = WedgeVector(c2, {shape: 1})
             removed, added = _expected_box_moves(shape, c2)
             for t, i in indices:
-                expected = {s for s in (removed.get(t - 1), added.get(1 - t)) if s is not None}
-                problem = _box_move_problem(apply_b(i, basis), shape, t, expected, weight)
+                result = apply_b(i, basis)
+                lost, gained = removed.get(t - 1), added.get(1 - t)
+                if lost is None and gained is None and not result.terms:
+                    continue
+                expected = {s for s in (lost, gained) if s is not None}
+                problem = _box_move_problem(result, shape, t, expected, weight)
                 if problem is not None:
                     return f"shape={list(shape.parts)} i={i} delta={delta}: {problem}"
     return None
@@ -346,9 +349,10 @@ def _growth_shortfall(max_size: int, deltas) -> str | None:
     for delta in deltas:
         for lam in parts:
             bound = lam.size + GROWTH_WINDOW
-            members = enumerate_block_members(lam, delta, bound)
-            if len(members) < 2:
-                return f"lam={list(lam.parts)} delta={delta}: only {len(members)} member(s) within size {bound}"
+            # the search stops at the second member; only a shortfall exhausts it
+            found = len(list(islice(_block_members(lam, delta, bound), 2)))
+            if found < 2:
+                return f"lam={list(lam.parts)} delta={delta}: only {found} member(s) within size {bound}"
     return None
 
 
@@ -359,19 +363,25 @@ def check_block_growth(max_size: int, deltas) -> CheckResult:
     return _check("block-growth", scope, _growth_shortfall, max_size, deltas)
 
 
+def _in_root_units(twice_keyed: dict[int, int]) -> str:
+    return "{" + ", ".join(f"{half(t)}: {e}" for t, e in sorted(twice_keyed.items())) + "}"
+
+
 def _rational_weight_mismatch() -> str | None:
     for t in range(-TWICE_BOUND, TWICE_BOUND + 1):
-        a = half(t)
-        got = weight_of_rational(gamma_factor(a))
-        expected = vector_diff(alpha_in_omega(a), alpha_in_omega(-a))
+        # weight(gamma_a) reads the exponent at each root r as the coordinate
+        # at omega_r; alpha_i = 2 omega_i - omega_(i-1) - omega_(i+1)
+        got = _gamma_exponents(t, 2)
+        expected = vector_diff({t: 2, t - 2: -1, t + 2: -1}, {-t: 2, -t - 2: -1, 2 - t: -1})
         if got != expected:
-            return f"a={a}: {got} != {expected}"
+            return f"a={half(t)}: {_in_root_units(got)} != {_in_root_units(expected)}"
     return None
 
 
 def check_rational_weight() -> CheckResult:
     """weight(gamma_a) == alpha_a - alpha_{-a} in fundamental-weight
-    coordinates, across integer and half-integer a."""
+    coordinates, across integer and half-integer a, both keyed by twice the
+    root (a = t/2)."""
     scope = f"twice(a) in [-{TWICE_BOUND}..{TWICE_BOUND}]"
     return _check("rational-function-weight", scope, _rational_weight_mismatch)
 

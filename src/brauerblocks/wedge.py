@@ -45,6 +45,15 @@ class WedgeVector:
             for shape, c in (terms or {}).items() if c
         }
 
+    @classmethod
+    def _unchecked(cls, twice_charge: int, terms: dict) -> "WedgeVector":
+        """A vector from terms already free of zero coefficients, without
+        the conversion of each coefficient."""
+        vector = object.__new__(cls)
+        vector.twice_charge = twice_charge
+        vector.terms = terms
+        return vector
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -92,16 +101,23 @@ def _moved(c2: int, shape: Partition, source: int, step: int) -> Partition | Non
     d, odd = divmod(source - c2, 2)
     parts = shape.parts
     length = len(parts)
-    if odd or d < 1 - shape.part(1):
+    if odd:
         return None
     if d > length:
         if step > 0 or d > length + 1:
             return None
         return Partition._unchecked(parts + (1,), shape.size + 1)
+    # with no rows, d <= 0 lies below the vacuum's first entry, d = 1
+    if not length or d < 1 - parts[0]:
+        return None
     j = bisect_left(range(length), d, key=lambda m: m + 1 - parts[m])  # row j + 1
-    p = shape.part(j + 1)
-    # no row holds d, or the neighbour the entry moves toward is as long
-    if j + 1 - p != d or shape.part(j + 1 + step) == p:
+    if j == length:  # d lies above every row's entry
+        return None
+    p = parts[j]
+    # no row holds d, or the neighbour the entry moves toward, row k + 1,
+    # is as long (no row outside 1..length is)
+    k = j + step
+    if j + 1 - p != d or (0 <= k < length and parts[k] == p):
         return None
     q = p - step
     return Partition._unchecked(parts[:j] + ((q,) if q else ()) + parts[j + 1:], shape.size - step)
@@ -119,7 +135,10 @@ def _apply_moves(i2: int, vector: WedgeVector, moves) -> WedgeVector:
             moved = _moved(c2, shape, source, step)
             if moved is not None:
                 out[moved] = out.get(moved, 0) + coeff
-    return WedgeVector(c2, out)
+    # the coefficients are sums of the input's, so only a zero sum is dropped
+    if 0 in out.values():
+        out = {shape: c for shape, c in out.items() if c}
+    return WedgeVector._unchecked(c2, out)
 
 
 def apply_raising(index, vector: WedgeVector) -> WedgeVector:

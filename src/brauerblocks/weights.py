@@ -17,8 +17,9 @@ the reduction keeps r_t = v(t) - v(-t) for t > 0 plus the parity of v(0).
 of two content counts vanishes without building either count: it reads
 the centred second differences of the counts off each label's runs of
 equal rows, in O(runs * log rows) per label.  Only :func:`alpha_in_omega`
-keeps Fractions: it is compared with the rational roots of central
-characters.
+keeps Fractions, as the rational-root expansion of a simple root; the
+verify matrix writes that expansion in twice-units instead, and no module
+of the package calls it.
 """
 
 from __future__ import annotations

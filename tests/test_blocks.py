@@ -1,6 +1,7 @@
 import gc
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
@@ -9,6 +10,7 @@ import pytest
 
 from brauerblocks import verify
 from brauerblocks.blocks import (
+    _block_members,
     _dominant,
     _orbit_closure,
     _shifted_vector,
@@ -309,6 +311,53 @@ def test_enumerated_members_descend_to_the_labels_dominant_vector():
                 assert dot_dominant(mu.transpose(), rank, delta) == dominant, (lam.parts[:3], mu.parts[:3], delta)
             found[kind] += len(members) - 1
     assert min(found) > 0 and sum(found) > 500
+
+
+def test_member_search_yields_the_enumerated_members():
+    # every label of size <= 7 at 22 deltas and 3 bounds: 2,970 cases
+    cases = [
+        (lam, delta, lam.size + extra)
+        for lam in enumerate_partitions(7)
+        for delta in [*range(-9, 12), Fraction(1, 2)]
+        for extra in (0, 6, 12)
+    ]
+    assert len(cases) == 2970
+    for lam, delta, bound in cases:
+        drawn = list(_block_members(lam, delta, bound))
+        members = enumerate_block_members(lam, delta, bound)
+        assert Counter(drawn) == Counter(members), (lam.parts, delta, bound)
+        assert members == sorted(drawn, key=canonical_key), (lam.parts, delta, bound)
+
+
+def test_enumeration_refuses_a_small_bound_before_any_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("brauerblocks.blocks._block_members", refuse)
+    with pytest.raises(ValueError, match="max_size must be at least"):
+        enumerate_block_members(Partition((2, 2)), 2, 3)
+    with pytest.raises(ValueError, match="max_size must be at least"):
+        enumerate_block_members(Partition((2, 2)), Fraction(1, 2), 3)
+
+
+def test_block_growth_draws_at_most_two_members(monkeypatch):
+    drawn = Counter()
+
+    def counting(lam, delta, max_size):
+        for mu in _block_members(lam, delta, max_size):
+            drawn[lam, delta] += 1
+            yield mu
+
+    monkeypatch.setattr(verify, "_block_members", counting)
+    deltas = range(-2, 5)
+    assert verify.check_block_growth(4, deltas).passed
+    assert drawn == Counter({(lam, delta): 2 for lam in enumerate_partitions(4) for delta in deltas})
+
+
+def test_block_growth_shortfalls_beyond_the_window():
+    # the nearest second member lies more than the window above the label
+    assert verify._growth_shortfall(5, range(-3, 6)) == "lam=[2, 2, 1] delta=4: only 1 member(s) within size 21"
+    assert verify._growth_shortfall(6, range(-3, 6)) == "lam=[6] delta=-3: only 1 member(s) within size 22"
 
 
 def test_enumeration_reaches_far_past_the_filter():

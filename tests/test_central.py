@@ -1,10 +1,13 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from brauerblocks import verify
 from brauerblocks.central import (
     FactoredRational,
+    _gamma_exponents,
     brauer_gammas,
     central_character,
     centrally_equivalent,
@@ -34,6 +37,60 @@ def test_gamma_factor_examples():
     g1 = gamma_factor(1)
     assert dict(g1.factors) == {-2: 1, 1: 2, 2: -1, -1: -2}
     assert g1.render() == "(u-1)^2(u+2)/((u-2)(u+1)^2)"
+
+
+def _gamma_factor_by_fractions(content) -> FactoredRational:
+    # the Fraction-keyed body gamma_factor had before its int kernel
+    c = Fraction(content)
+    factor_map: dict[Fraction, int] = {}
+    for root, e in ((1 - c, 1), (-1 - c, 1), (c, 2), (1 + c, -1), (c - 1, -1), (-c, -2)):
+        factor_map[root] = factor_map.get(root, 0) + e
+    return FactoredRational.from_parts(Fraction(1), factor_map)
+
+
+def test_gamma_factor_equals_the_fraction_body():
+    for b in (1, 2, 3, 7):
+        for t in range(-41, 42):
+            c = Fraction(t, b)
+            g = gamma_factor(c)
+            assert g == _gamma_factor_by_fractions(c), c
+            assert all(type(root) is Fraction for root, _ in g.factors)
+            # the kernel scales with b, so rational-function-weight reads it at b = 2
+            scaled = {2 * root: e for root, e in _gamma_exponents(t, b).items()}
+            assert _gamma_exponents(2 * t, 2 * b) == scaled
+    assert gamma_factor("3/7") == _gamma_factor_by_fractions(Fraction(3, 7))
+
+
+@pytest.mark.parametrize("off_at", [-9, 0, 4])
+def test_rational_weight_check_fails_when_one_exponent_is_off(monkeypatch, off_at):
+    # the mutant kernel raises the exponent of the double root c at one a = t/2
+    def mutant(a, b):
+        exps = _gamma_exponents(a, b)
+        if Fraction(a, b) == Fraction(off_at, 2):
+            exps[a] = exps.get(a, 0) + 1
+        return exps
+
+    monkeypatch.setattr(verify, "_gamma_exponents", mutant)
+    result = verify.check_rational_weight()
+    assert not result.passed
+    assert re.match(r"a=-?\d+(/2)?: ", result.counterexample)
+    a = Fraction(off_at, 2)
+    want = vector_diff(alpha_in_omega(a), alpha_in_omega(-a))
+    got = dict(want)
+    got[a] = got.get(a, 0) + 1
+    assert result.counterexample == f"a={a}: {_map_str(got)} != {_map_str(want)}"
+    monkeypatch.undo()
+    assert verify.check_rational_weight().passed
+
+
+def _map_str(weight: dict) -> str:
+    return "{" + ", ".join(f"{root}: {e}" for root, e in sorted(weight.items()) if e) + "}"
+
+
+def test_rational_weight_counterexample_prints_roots():
+    got = {-11: -1, -9: 3, -7: -1, 7: 1, 9: -2, 11: 1}
+    assert verify._in_root_units(got) == "{-11/2: -1, -9/2: 3, -7/2: -1, 7/2: 1, 9/2: -2, 11/2: 1}"
+    assert verify._in_root_units({4: 1, 0: 1}) == "{0: 1, 2: 1}"
 
 
 def test_gamma_factor_inverse_symmetry():
