@@ -45,10 +45,10 @@ from __future__ import annotations
 import gc
 from collections import defaultdict
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
+from typing import NamedTuple
 
 from .partitions import _PARTS, _SIZE, Partition, integral, row_runs
 from .sequences import OrbitKey, transpose_has_zero, transpose_profile
@@ -80,8 +80,7 @@ def block_key(lam: Partition, delta) -> OrbitKey:
     return OrbitKey(c2, *transpose_profile(c2, lam.parts)[0])
 
 
-@dataclass(frozen=True)
-class BlockClassification:
+class BlockClassification(NamedTuple):
     """Whether the weight class of a label is one block or splits in two;
     in the split case `partner` labels a module of the same bar-weight in
     the other block."""

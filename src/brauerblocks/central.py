@@ -27,14 +27,13 @@ in exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .partitions import HALF, Partition, row_runs
 
 
-@dataclass(frozen=True)
-class FactoredRational:
+class FactoredRational(NamedTuple):
     """constant * prod (u - root)^exponent with nonzero exponents, factors
     sorted by root."""
 

@@ -41,16 +41,15 @@ calls: the tests read the orbit rule entry by entry through them.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .partitions import Partition, row_runs, twice
 
 WILDCARD = "*"
 
 
-@dataclass(frozen=True)
-class ChargedSequence:
+class ChargedSequence(NamedTuple):
     charge: Fraction
     shape: Partition
 
@@ -86,8 +85,7 @@ def shape_from_entries(charge, entries) -> Partition:
     return Partition(parts)
 
 
-@dataclass(frozen=True)
-class OrbitKey:
+class OrbitKey(NamedTuple):
     """Canonical orbit invariant in twice-units: twice the charge, the
     deviation of the absolute-entry multiset from the vacuum of the same
     charge as sorted pairs (twice the absolute value, count), and a

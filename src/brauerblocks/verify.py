@@ -39,10 +39,10 @@ reported.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, islice
+from typing import NamedTuple
 
 from .blocks import (
     _block_members,
@@ -81,8 +81,7 @@ GROWTH_WINDOW = 16
 TWICE_BOUND = 9
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     scope: str
     passed: bool
@@ -400,7 +399,7 @@ def _key_mismatch(max_size: int, deltas, flip_parity_of: Partition | None) -> st
         lhs_keys = dict(keys)
         original = keys.get(flip_parity_of)
         if original is not None and original.neg_parity != WILDCARD:
-            lhs_keys[flip_parity_of] = replace(original, neg_parity=1 - original.neg_parity)
+            lhs_keys[flip_parity_of] = original._replace(neg_parity=1 - original.neg_parity)
             planted = True
         sym = {lam: reduce_mod_qtheta(weight_alpha_part(lam, delta), delta) for lam in parts}
         refined = {}

@@ -24,9 +24,9 @@ of the package calls it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from .partitions import Partition, half, integral, row_runs
 
@@ -59,8 +59,7 @@ def vector_diff(u: dict, v: dict) -> dict:
     return vector_sum(u, {k: -c for k, c in v.items()})
 
 
-@dataclass(frozen=True)
-class SymWeight:
+class SymWeight(NamedTuple):
     """Complete invariant of a root vector modulo the symmetrised sublattice:
     the coefficients r_t = v(t) - v(-t) for twice-indices t > 0 (sorted,
     zeros dropped) and, when the index 0 exists, the parity of v(0)."""

@@ -2,7 +2,6 @@ import gc
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -740,13 +739,13 @@ def _parity_always(lam, delta):
     key = block_key(lam, delta)
     if key.neg_parity != WILDCARD:
         return key
-    return replace(key, neg_parity=transpose_profile(delta - 2, lam.parts)[1] % 2)
+    return key._replace(neg_parity=transpose_profile(delta - 2, lam.parts)[1] % 2)
 
 
 def _no_deviations(lam, delta):
     # coarser than the blocks, across bar-weight classes: only the scan of
     # key classes can report it
-    return replace(block_key(lam, delta), deviations=())
+    return block_key(lam, delta)._replace(deviations=())
 
 
 @pytest.mark.parametrize("mutant", [_parity_always, _no_deviations], ids=["wildcard", "deviations"])
@@ -768,7 +767,7 @@ def test_key_check_fails_when_one_label_gets_a_key_of_its_own(monkeypatch):
     for target in labels:
         def own_key(lam, delta):
             key = block_key(lam, delta)
-            return replace(key, deviations=key.deviations + ((-1, 1),)) if lam == target else key
+            return key._replace(deviations=key.deviations + ((-1, 1),)) if lam == target else key
 
         monkeypatch.setattr(verify, "block_key", own_key)
         result = verify.check_key_consistency(4, deltas)

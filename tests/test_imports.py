@@ -1,5 +1,7 @@
-"""Every name a module of the package imports is used in that module, and
-every public name of the package has a caller outside the tests.
+"""Every name a module of the package imports is used in that module,
+every public name of the package has a caller outside the tests, the CLI
+imports without ``dataclasses``, and the six record types keep their
+contract as ``NamedTuple``s.
 
 No linter ships with the toolchain, so this reads each module with ``ast``.
 A name counts as used when it occurs anywhere in the module's code,
@@ -9,11 +11,21 @@ them.
 """
 
 import ast
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import brauerblocks
+from brauerblocks.blocks import block_key, classify_weight_class
+from brauerblocks.central import central_character
+from brauerblocks.partitions import Partition
+from brauerblocks.sequences import make_sequence
+from brauerblocks.verify import CheckResult
+from brauerblocks.weights import reduce_mod_qtheta, weight_alpha_part
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "brauerblocks"
@@ -76,3 +88,64 @@ def test_every_public_name_has_a_caller():
     }
     public = set(brauerblocks.__all__) - {"__version__"}
     assert sorted(public - used) == []
+
+
+def test_the_cli_imports_without_dataclasses():
+    # pytest has loaded both modules already, so ask a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = "import sys, brauerblocks.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+RECORDS = [
+    (
+        classify_weight_class(Partition(()), 2),
+        "BlockClassification(split=True, partner=Partition([1, 1]))",
+        "partner",
+        None,
+    ),
+    (
+        central_character(Partition((2, 2)), 1),
+        "FactoredRational(constant=Fraction(-1, 1), factors=((Fraction(-1, 2), 1), (Fraction(1, 2), 1)))",
+        "constant",
+        Fraction(1),
+    ),
+    (
+        make_sequence(Partition((2, 1)), "1/2"),
+        "ChargedSequence(charge=Fraction(1, 2), shape=Partition([2, 1]))",
+        "charge",
+        Fraction(-1, 2),
+    ),
+    (
+        block_key(Partition((2,)), 0),
+        "OrbitKey(twice_charge=-2, deviations=(), neg_parity='*')",
+        "neg_parity",
+        0,
+    ),
+    (
+        CheckResult("witness-pair", "fixed", True, None, 0.5),
+        "CheckResult(name='witness-pair', scope='fixed', passed=True, counterexample=None, elapsed=0.5)",
+        "passed",
+        False,
+    ),
+    (
+        reduce_mod_qtheta(weight_alpha_part(Partition((2, 1)), 2), 2),
+        "SymWeight(pos=((3, 1),), zero_parity=None)",
+        "zero_parity",
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize("record, text, field, value", RECORDS, ids=[type(r[0]).__name__ for r in RECORDS])
+def test_record_contract(record, text, field, value):
+    assert repr(record) == text
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    twin = type(record)(*record)
+    assert twin == record and hash(twin) == hash(record)
+    changed = record._replace(**{field: value})
+    assert getattr(changed, field) == value
+    assert [name for name in record._fields if getattr(changed, name) != getattr(record, name)] == [field]
+    assert repr(record) == text
