@@ -45,12 +45,11 @@ from __future__ import annotations
 import gc
 from collections import defaultdict
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
 from typing import NamedTuple
 
-from .partitions import _PARTS, _SIZE, Partition, integral, row_runs
+from .partitions import _PARTS, _SIZE, Partition, integer_or_none, integral, row_runs
 from .sequences import OrbitKey, transpose_has_zero, transpose_profile
 
 BFS_RANK_CAP = 8
@@ -63,14 +62,12 @@ def same_block(lam: Partition, mu: Partition, delta) -> bool:
     size-parity short circuit is sound because every orbit move preserves
     the shape size modulo 2; otherwise the transposes' twice-keys decide.
     """
-    if type(delta) is not int:
-        d = Fraction(delta)
-        if d.denominator != 1:
-            return lam == mu
-        delta = d.numerator
+    d = integer_or_none(delta)
+    if d is None:
+        return lam == mu
     if (lam.size - mu.size) % 2 != 0:
         return False
-    c2 = delta - 2
+    c2 = d - 2
     return transpose_profile(c2, lam.parts)[0] == transpose_profile(c2, mu.parts)[0]
 
 
@@ -121,8 +118,6 @@ def enumerate_block_members(lam: Partition, delta, max_size: int) -> list[Partit
     the members of :func:`_block_members`, sorted."""
     if max_size < lam.size:
         raise ValueError("max_size must be at least the size of the partition")
-    if Fraction(delta).denominator != 1:
-        return [lam]
     members = list(_block_members(lam, delta, max_size))
     # the canonical order by two stable C-keyed sorts: two distinct members
     # of one size are never prefixes of each other, so descending parts
@@ -149,11 +144,10 @@ def _block_members(lam: Partition, delta, max_size: int) -> Iterator[Partition]:
     a set of the wrong parity drops its largest value to reach a member.  It
     runs on one list of the values in S, ascending, and the stack of their
     indices, so a caller that stops early pays only for what it drew."""
-    d = Fraction(delta)
-    if d.denominator != 1:
+    h = integer_or_none(delta)  # twice the entry at x is h + 2x
+    if h is None:
         yield lam
         return
-    h = d.numerator  # twice the entry at x is h + 2x
     length = len(lam)
     # read past every |negative entry| (the smallest entry is the first) and past 0
     reach = max(lam.part(1), (max(0, 2 * length - h) - h) // 2 + 1)
@@ -385,8 +379,8 @@ def same_block_report(lam: Partition, mu: Partition, delta) -> dict:
     entries over the common window agree exactly when the deviations do,
     and the parities are the raw negative-entry counts mod 2, reported even
     when a zero entry makes the key's parity the wildcard."""
-    d = Fraction(delta)
-    if d.denominator != 1:
+    d = integer_or_none(delta)
+    if d is None:
         return {
             "same_block": lam == mu,
             "block_key": None,
@@ -398,7 +392,7 @@ def same_block_report(lam: Partition, mu: Partition, delta) -> dict:
                 "zero_entry": None,
             },
         }
-    c2 = d.numerator - 2
+    c2 = d - 2
     key_s, neg_s, zero_s = transpose_profile(c2, lam.parts)
     key_t, neg_t, _ = transpose_profile(c2, mu.parts)
     return {

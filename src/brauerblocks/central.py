@@ -15,7 +15,6 @@ expands a polynomial.  :func:`central_character` sums the exponents on a
 label's runs of equal rows, with every root scaled to an int (see its
 docstring), and builds Fractions only for the distinct roots it returns;
 :func:`centrally_equivalent` compares the int exponent maps.
-:func:`gamma_factor` wraps the int map of one gamma_c in the same way.
 
 The parameter sequence of the Brauer specialisation is
 gamma_a = delta * ((delta-1)/2)**a.  Its generating series
@@ -55,14 +54,6 @@ class FactoredRational(NamedTuple):
         for r, e in other.factors:
             merged[r] = merged.get(r, 0) + e
         return FactoredRational.from_parts(self.constant * other.constant, merged)
-
-    def evaluate(self, point) -> Fraction:
-        """Exact value at a rational point; raises ZeroDivisionError at a pole."""
-        u = Fraction(point)
-        value = self.constant
-        for r, e in self.factors:
-            value *= (u - r) ** e
-        return value
 
     def render(self) -> str:
         """Display string with factors ordered by increasing displayed offset,
@@ -111,15 +102,6 @@ def _gamma_exponents(a: int, b: int) -> dict[int, int]:
     for root, e in ((b - a, 1), (-b - a, 1), (a, 2), (b + a, -1), (a - b, -1), (-a, -2)):
         exps[root] = exps.get(root, 0) + e
     return {root: e for root, e in exps.items() if e}
-
-
-def gamma_factor(content) -> FactoredRational:
-    """Canonical factored form of gamma_c(u), from the int exponent map of
-    :func:`_gamma_exponents`, with one Fraction per distinct root."""
-    c = Fraction(content)
-    b = c.denominator
-    exps = _gamma_exponents(c.numerator, b)
-    return FactoredRational(Fraction(1), tuple((Fraction(root, b), e) for root, e in sorted(exps.items())))
 
 
 def _root_exponents(parts: tuple[int, ...], a: int, b: int) -> dict[int, int]:
@@ -178,12 +160,6 @@ def centrally_equivalent(lam: Partition, mu: Partition, delta) -> bool:
     q = Fraction(delta)
     a, b = q.numerator, q.denominator
     return _root_exponents(lam.parts, a, b) == _root_exponents(mu.parts, a, b)
-
-
-def weight_of_rational(f: FactoredRational) -> dict[Fraction, int]:
-    """Zero-minus-pole multiplicities as a fundamental-weight coordinate map:
-    a root r with exponent e contributes e at index r."""
-    return dict(f.factors)
 
 
 def brauer_gammas(delta, length: int) -> list[Fraction]:

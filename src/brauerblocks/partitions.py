@@ -43,14 +43,20 @@ def twice(value) -> int:
     return 2 * q.numerator // q.denominator
 
 
-def integral(value, message: str) -> int:
-    """value as an int; raises ValueError(message) unless it is an integer."""
+def integer_or_none(value) -> int | None:
+    """value as an int, or None unless it is an integer."""
     if type(value) is int:  # as it is; a bool and the rest go through Fraction
         return value
     q = Fraction(value)
-    if q.denominator != 1:
+    return q.numerator if q.denominator == 1 else None
+
+
+def integral(value, message: str) -> int:
+    """value as an int; raises ValueError(message) unless it is an integer."""
+    n = integer_or_none(value)
+    if n is None:
         raise ValueError(message)
-    return q.numerator
+    return n
 
 
 def _part(value) -> int:

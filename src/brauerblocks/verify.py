@@ -39,7 +39,6 @@ reported.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, islice
 from typing import NamedTuple
@@ -98,7 +97,7 @@ def _check(name: str, scope: str, find, *args) -> CheckResult:
 
 def _witness_failure() -> str | None:
     lam, mu = Partition((2, 2)), Partition((2, 1))
-    want = FactoredRational.from_parts(Fraction(-1), {HALF: 1, -HALF: 1})
+    want = FactoredRational.from_parts(-1, {HALF: 1, -HALF: 1})
     if central_character(lam, 1) != want or central_character(mu, 1) != want:
         return "central characters are not -(u-1/2)(u+1/2)"
     if not centrally_equivalent(lam, mu, 1):

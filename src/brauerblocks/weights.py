@@ -16,15 +16,11 @@ the reduction keeps r_t = v(t) - v(-t) for t > 0 plus the parity of v(0).
 :func:`same_bar_weight` decides whether that reduction of the difference
 of two content counts vanishes without building either count: it reads
 the centred second differences of the counts off each label's runs of
-equal rows, in O(runs * log rows) per label.  Only :func:`alpha_in_omega`
-keeps Fractions, as the rational-root expansion of a simple root; the
-verify matrix writes that expansion in twice-units instead, and no module
-of the package calls it.
+equal rows, in O(runs * log rows) per label.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -137,10 +133,3 @@ def same_bar_weight(lam: Partition, mu: Partition, delta) -> bool:
     masses: dict[int, int] = {}
     zero = _bar_masses(masses, lam.parts, h, 1) - _bar_masses(masses, mu.parts, h, -1)
     return zero % 2 == 0 and all(masses.get(-t, 0) == e for t, e in masses.items())
-
-
-def alpha_in_omega(i) -> dict[Fraction, int]:
-    """Expansion of the simple root alpha_i in fundamental-weight coordinates:
-    alpha_i = 2*omega_i - omega_{i-1} - omega_{i+1}."""
-    x = Fraction(i)
-    return {x: 2, x - 1: -1, x + 1: -1}

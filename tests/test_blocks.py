@@ -7,8 +7,9 @@ from itertools import permutations, product
 
 import pytest
 
-from brauerblocks import verify
+from brauerblocks import blocks, verify
 from brauerblocks.blocks import (
+    BFS_RANK_CAP,
     _block_members,
     _dominant,
     _orbit_closure,
@@ -544,6 +545,83 @@ def test_dot_orbit_guards():
         dot_orbit_member(EMPTY, EMPTY, 9, 2)
     with pytest.raises(ValueError, match="integral"):
         dot_orbit_member(EMPTY, EMPTY, 2, Fraction(1, 2))
+
+
+def test_bfs_cap_boundary(monkeypatch):
+    # a real rank-8 orbit has up to 8! * 2**7 vectors, so the closure is a stub
+    starts = []
+
+    def closure(start):
+        starts.append(start)
+        return frozenset({start})
+
+    monkeypatch.setattr(blocks, "_orbit_closure", closure)
+    assert BFS_RANK_CAP == 8
+    assert dot_orbit_member(EMPTY, EMPTY, 8, 2)
+    assert [len(start) for start in starts] == [8]
+    with pytest.raises(ValueError, match="^rank 9 exceeds the safety cap 8$"):
+        dot_orbit_member(EMPTY, EMPTY, 9, 2)
+    assert len(starts) == 1
+
+
+def _delta_readers(lam: Partition, mu: Partition) -> dict:
+    # every block query that reads delta, as a function of delta alone
+    return {
+        "same_block": lambda d: same_block(lam, mu, d),
+        "same_block_report": lambda d: same_block_report(lam, mu, d),
+        "block_key": lambda d: block_key(lam, d),
+        "classify_weight_class": lambda d: classify_weight_class(lam, d),
+        "enumerate_block_members": lambda d: enumerate_block_members(lam, d, lam.size + 6),
+        "brauer_algebra_blocks": lambda d: brauer_algebra_blocks(lam.size, d),
+        "dot_dominant": lambda d: dot_dominant(lam.transpose(), lam.size + 2, d),
+        "same_bar_weight": lambda d: same_bar_weight(lam, mu, d),
+    }
+
+
+# the error each query that needs an integral delta raises for any other
+NON_INTEGRAL_ERRORS = {
+    "block_key": "block keys require integral delta",
+    "classify_weight_class": "weight-class classification requires integral delta",
+    "brauer_algebra_blocks": "Brauer-algebra blocks require integral delta",
+    "dot_dominant": "the orbit oracle requires integral delta",
+    "same_bar_weight": "weights require integral delta",
+}
+
+DELTA_LABELS = [EMPTY, Partition((1,)), Partition((2, 1)), Partition((2, 2)), Partition((3, 1, 1))]
+
+
+def test_delta_as_int_fraction_or_float_gives_one_answer():
+    # repr tells an int field from an equal float or Fraction one
+    for lam in DELTA_LABELS:
+        for mu in DELTA_LABELS:
+            for name, read in _delta_readers(lam, mu).items():
+                for delta in (-3, -2, 0, 1, 2, 5):
+                    want = repr(read(delta))
+                    assert repr(read(Fraction(delta))) == want, (name, lam, mu, delta)
+                    assert repr(read(float(delta))) == want, (name, lam, mu, delta)
+
+
+def test_half_integral_delta_is_semisimple_or_refused():
+    semisimple = {
+        "semisimple": True,
+        "abs_multiset_equal": None,
+        "parity_lhs": None,
+        "parity_rhs": None,
+        "zero_entry": None,
+    }
+    answered = {"same_block", "same_block_report", "enumerate_block_members"}
+    assert answered | set(NON_INTEGRAL_ERRORS) == set(_delta_readers(EMPTY, EMPTY))
+    for lam in DELTA_LABELS:
+        for mu in DELTA_LABELS:
+            readers = _delta_readers(lam, mu)
+            for delta in (Fraction(5, 2), Fraction(-1, 2), 2.5, -0.5, Fraction(7, 3)):
+                assert readers["same_block"](delta) is (lam == mu)
+                report = {"same_block": lam == mu, "block_key": None, "reason": semisimple}
+                assert readers["same_block_report"](delta) == report
+                assert readers["enumerate_block_members"](delta) == [lam]
+                for name, message in NON_INTEGRAL_ERRORS.items():
+                    with pytest.raises(ValueError, match=f"^{message}$"):
+                        readers[name](delta)
 
 
 def test_dot_orbit_matches_sequence_orbits_small():

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
-every public name of the package has a caller outside the tests, the CLI
-imports without ``dataclasses``, and the six record types keep their
-contract as ``NamedTuple``s.
+every public name of the package has a caller outside the tests, so does
+every function and method the package defines, the CLI imports without
+``dataclasses``, and the six record types keep their contract as
+``NamedTuple``s.
 
 No linter ships with the toolchain, so this reads each module with ``ast``.
 A name counts as used when it occurs anywhere in the module's code,
@@ -26,6 +27,7 @@ from brauerblocks.partitions import Partition
 from brauerblocks.sequences import make_sequence
 from brauerblocks.verify import CheckResult
 from brauerblocks.weights import reduce_mod_qtheta, weight_alpha_part
+from test_benchmark_names import _workload_names, _wrapped_table
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "brauerblocks"
@@ -88,6 +90,67 @@ def test_every_public_name_has_a_caller():
     }
     public = set(brauerblocks.__all__) - {"__version__"}
     assert sorted(public - used) == []
+
+
+def _definitions(tree: ast.Module):
+    """Yield (qualified name, short name) for each module-level function and
+    each method of a module-level class, dunder methods left out."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """The names used in code, and the attributes read off anything."""
+    return _used(tree) | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _uncalled(trees, reached: set[str]) -> set[str]:
+    """Functions and methods whose short name no module references and the
+    benchmark does not reach."""
+    referenced = set().union(*map(_referenced, trees)) | reached
+    return {name for tree in trees for name, short in _definitions(tree) if short not in referenced}
+
+
+# make_sequence builds the argument of orbit_key and same_orbit, which the
+# benchmark's tracer wraps; it leaves the package with them
+NO_CALLER_NEEDED = {"make_sequence"}
+
+
+def test_every_function_has_a_caller():
+    # a function or method that no module of the package calls, and that
+    # the benchmark's workloads (as ``bb.<name>``) and tracer (its WRAPPED
+    # table) do not reach, is code that nothing but the tests needs
+    trees = [ast.parse(path.read_text()) for path in MODULES]
+    wrapped = {attr for _, attr, _, _ in _wrapped_table()}
+    uncalled = _uncalled(trees, _workload_names())
+    assert sorted(uncalled - wrapped - NO_CALLER_NEEDED) == []
+    assert NO_CALLER_NEEDED <= uncalled
+    # what only the benchmark's tracer holds in the package (ROADMAP direction 2)
+    assert sorted(uncalled) == [
+        "Partition.contents",
+        "make_sequence",
+        "orbit_key",
+        "same_orbit",
+        "shape_from_entries",
+    ]
+
+
+def test_the_check_sees_an_uncalled_function():
+    tree = ast.parse(
+        "def used(): pass\n"
+        "def unused(): used()\n"
+        "class C:\n"
+        "    def __init__(self): pass\n"
+        "    def read(self): return self.write\n"
+        "    def write(self): pass\n"
+    )
+    assert _uncalled([tree], set()) == {"unused", "C.read"}
+    assert _uncalled([tree], {"unused", "read"}) == set()
 
 
 def test_the_cli_imports_without_dataclasses():

@@ -13,6 +13,8 @@ from brauerblocks.partitions import (
     enumerate_partitions,
     half,
     descending_partitions,
+    integer_or_none,
+    integral,
     parse_partition,
     partitions_of_size,
     row_runs,
@@ -148,6 +150,13 @@ def test_constructor_rejects_invalid():
         parse_partition("3,1,2")
     with pytest.raises(PartitionError):
         Partition((2, 0))
+    # the equal pair in front tells "b > a" from "b >= a" in the search for
+    # the offending pair
+    with pytest.raises(PartitionError, match="^not weakly decreasing: 1 before 3$"):
+        Partition((2, 2, 1, 3))
+    # the parser names the token, not just the constructor's rule
+    with pytest.raises(PartitionError, match="^partition entries must be positive, got '0'$"):
+        parse_partition("2,0")
 
 
 @pytest.mark.parametrize("bad", [2.5, 2.0, "3", Fraction(5, 2)])
@@ -155,6 +164,18 @@ def test_constructor_rejects_nonintegral_parts(bad):
     # int() would truncate 2.5 to 2 and read "3" as 3
     with pytest.raises(PartitionError, match=f"^partition entry {re.escape(repr(bad))} is not an integer$"):
         Partition((3, bad))
+
+
+def test_integer_reader():
+    for value in (2, Fraction(4, 2), 2.0, "2"):
+        assert integer_or_none(value) == 2 and type(integer_or_none(value)) is int
+        assert integral(value, "unused") == 2
+    assert integer_or_none(True) == 1 and type(integer_or_none(True)) is int
+    assert integer_or_none(-7) == -7
+    for value in (Fraction(1, 2), 0.5, "-3/2", Fraction(-1, 3)):
+        assert integer_or_none(value) is None
+        with pytest.raises(ValueError, match="^needs an integer$"):
+            integral(value, "needs an integer")
 
 
 def test_half_integer_helpers():

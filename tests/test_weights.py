@@ -10,7 +10,6 @@ from brauerblocks.sequences import WILDCARD
 from brauerblocks.wedge import relative_weight
 from brauerblocks.weights import (
     SymWeight,
-    alpha_in_omega,
     reduce_mod_qtheta,
     same_bar_weight,
     vector_diff,
@@ -129,12 +128,6 @@ def test_same_bar_weight_equals_the_reduction():
         )
         assert same_bar_weight(lam, mu, delta) == expected
         assert expected == (mu.size > n)
-
-
-def test_alpha_in_omega_examples():
-    assert alpha_in_omega(0) == {0: 2, -1: -1, 1: -1}
-    assert alpha_in_omega(H) == {H: 2, -H: -1, Fraction(3, 2): -1}
-    assert alpha_in_omega(-H) == {-H: 2, Fraction(-3, 2): -1, H: -1}
 
 
 # twice-indices of integral root indices, the parity of delta - 1 at delta = 1
