@@ -43,9 +43,9 @@ BFS_RANK_CAP (8) are refused; it certifies the descent in tests.
 from __future__ import annotations
 
 import gc
-from collections import defaultdict
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -203,51 +203,73 @@ def _block_members(lam: Partition, delta, max_size: int) -> Iterator[Partition]:
 def brauer_algebra_blocks(n: int, delta) -> list[list[Partition]]:
     """Blocks of the rank-n Brauer algebra: the labels of sizes n, n-2, ...
     partitioned by the block relation, in canonical order; groups keep the
-    order in which they are first met.
+    order in which they are first met.  The groups are classes of cell-module
+    labels: at delta = 0 and even n the form on the cell module of () is
+    zero (Graham and Lehrer), so () labels no simple module, yet it is
+    listed, in the block of (2).
 
     Labels are grouped on an int key by the rule of
     sequences.transpose_profile: row i with part q adds the absolute entry
     at x = -i, removes the one at x = q - i, counts a negative entry removed
     when x < t and clears the zero flag when x = t.  The absolute values at
-    x in [-n - 1, n] are ranked as slots, w(x) = 8**slot, and the deviation
+    x in [-n - 1, n] step by 2 from the least, so x has the slot
+    (|h + 2x| - least) / 2 and the weight w(x) = 8**slot, and the deviation
     is the sum of +-w, a unique balanced base-8 number whatever |delta|: at
-    most two rows add and two remove one value.  The key is 4 times it plus
+    most two rows add and two remove a value.  The key is 4 times it plus
     the parity, or 2 for the wildcard.
 
-    A label is a node B, whose k parts are all >= 2, and j rows of 1.  A
+    A label is a node B, whose k parts are all >= 2, and j rows of 1.  One
     depth-first walk visits the p(n) nodes; each packs (deviation << W) +
     2 * negatives removed + zero hit, its parent's plus one int per row.
     The rows of 1 telescope, so a label's key is the node's deviation plus
-    a term precomputed per (k, j) and the node's two low bits.  Children
-    come in descending part and a node's labels after its children's, so
-    each size fills lexicographically descending."""
+    one of four ints precomputed per (k, j), picked by the node's two low
+    bits.  The walk appends only that key and the parts per label, to its
+    size's lists: a node's labels come before its children's and children
+    in ascending part, so each size fills lexicographically ascending, and
+    is read backwards.  Then each size's Partitions are made by C-level
+    maps and grouped on the key, size by size."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     h = integral(delta, "Brauer-algebra blocks require integral delta")
     t = -(h // 2)  # twice the entry at x is h + 2x, negative exactly when x < t
-    slot = {v: s for s, v in enumerate(sorted({abs(h + 2 * x) for x in range(-n - 1, n + 1)}))}
-    w = {x: 8 ** slot[abs(h + 2 * x)] for x in range(-n - 1, n + 1)}
+    # w(x) at w[x + n + 1]
+    least = max(h - 2 * n - 2, -h - 2 * n, h % 2)
+    w = [1 << 3 * ((abs(v) - least) >> 1) for v in range(h - 2 * n - 2, h + 2 * n + 1, 2)]
     # a node's low field is at most 2 * (n // 2) <= n, as at most n // 2 rows
     # have parts >= 2 and a row that hits x = t removes no negative; it is
     # at least 2 bits wide, for the two read below
     width = max(n.bit_length(), 2)
+    # removed[x + n + 1]: the packed int of removing the entry at x
+    removed = [2 * (x < t) + (x == t) - (v << width) for x, v in zip(range(-n - 1, n + 1), w)]
     # step[k][q]: the packed int of row k + 1 with part q
-    step = [
-        [((w[-i] - w[q - i]) << width) + 2 * (q - i < t) + (q - i == t) for q in range(n + 3 - 2 * i)]
-        for i in range(1, n // 2 + 1)
-    ]
+    step = []
+    for i in range(1, n // 2 + 1):
+        added = w[n + 1 - i] << width
+        step.append([added + v for v in removed[n + 1 - i : 2 * n + 4 - 3 * i]])
+    # tails[k][j]: the keys of node B with k rows and rows k+1..r of 1,
+    # r = k + j, by B's two low bits (bit 0 its zero hit, bit 1 its parity),
+    # then the rows of 1 and j.  With z = -t, the window of r rows holds
+    # max(0, r - z) negative entries, and row i of 1 removes x = 1 - i: a
+    # negative entry when i > z + 1, the zero when i = z + 1.  So for k > z
+    # the parity is that of k - z, and the zero is in the window and not hit
+    # by the 1s; for k <= z the parity is 1 and the zero hit when r > z, and
+    # else the parity is 0, with the zero in the window only when r = z.  A
+    # zero in the window that neither part hits makes the key the wildcard 2.
+    z = -t
+    even = h % 2 == 0  # whether any entry can be 0
+    rows_of_1 = [(1,) * j for j in range(n + 1)]
     tails = []
     for k in range(n // 2 + 1):
+        if k > z:
+            o = (k - z) & 1
+            tags = (2, o, 2, o ^ 1) if even else (o, o, o ^ 1, o ^ 1)
         tail = []
-        for j in range(n - 2 * k + 1):
-            # rows k+1..r of 1 remove x = -k..1-r: deviation w(-r) - w(-k),
-            # max(0, r - max(k, 1 - t)) negatives removed, a zero hit when k < 1 - t <= r
-            r = k + j
-            odd = (max(0, t + r) - max(0, r - max(k, 1 - t))) % 2
-            wild = h % 2 == 0 and t >= -r and not k < 1 - t <= r
-            # b: bit 0 is the node's zero hit, bit 1 the parity of its negatives removed
-            tags = [2 if wild and not b & 1 else odd ^ (b >> 1) for b in range(4)]
-            tail.append((tuple(((w[-r] - w[-k]) << 2) + tag for tag in tags), (1,) * j, j))
+        for r in range(k, n - k + 1):
+            if k <= z:
+                tags = (1, 1, 0, 0) if r > z else (2, 0, 2, 1) if r == z and even else (0, 0, 1, 1)
+            a, b, c, d = tags
+            key = (w[n + 1 - r] - w[n + 1 - k]) << 2
+            tail.append(((key + a, key + b, key + c, key + d), rows_of_1[r - k], r - k))
         tails.append(tail)
     # The walk leaves a few objects per label alive and makes no cycles, so
     # the cyclic collector finds nothing in it.  Left on, it would run every
@@ -259,33 +281,36 @@ def brauer_algebra_blocks(n: int, delta) -> list[list[Partition]]:
     gc.disable()
     try:
         keys_at: list[list[int]] = [[] for _ in range(n + 1)]
-        labels_at: list[list[Partition]] = [[] for _ in range(n + 1)]
-        # each label as Partition._unchecked builds it, without the call
-        new, set_parts, set_size = object.__new__, _PARTS.__set__, _SIZE.__set__
+        parts_at: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
         stack = [((), 0, 0, n)]  # (parts, size, packed, largest next part)
         while stack:
             parts, size, packed, cap = stack.pop()
             k = len(parts)
-            top = min(cap, n - size)
-            if top >= 2:
-                # back on the stack without children, under them
-                stack.append((parts, size, packed, 0))
-                row = step[k]
-                for q in range(2, top + 1):
-                    stack.append((parts + (q,), size + q, packed + row[q], q))
-                continue
+            rest = n - size
             dev, low = packed >> width << 2, packed & 3
-            for keys, ones, j in tails[k][(n - size) % 2 : n - size + 1 : 2]:
-                m = size + j
-                keys_at[m].append(dev + keys[low])
-                label = new(Partition)
-                set_parts(label, parts + ones)
-                set_size(label, m)
-                labels_at[m].append(label)
-        groups: defaultdict[int, list[Partition]] = defaultdict(list)
-        for m in range(n % 2, n + 1, 2):
-            for key, label in zip(keys_at[m], labels_at[m]):
-                groups[key].append(label)
+            for keys, ones, j in tails[k][rest % 2 : rest + 1 : 2]:
+                keys_at[size + j].append(dev + keys[low])
+                parts_at[size + j].append(parts + ones)
+            if cap > rest:
+                cap = rest
+            if cap >= 2:
+                row = step[k]
+                for q in range(cap, 1, -1):
+                    stack.append((parts + (q,), size + q, packed + row[q], q))
+        # each size's labels as Partition._unchecked builds them, by maps that
+        # any() runs to the end (__set__ returns None), then grouped
+        groups: dict[int, list[Partition]] = {}
+        get = groups.get
+        for size in range(n % 2, n + 1, 2):
+            labels = list(map(object.__new__, repeat(Partition, len(parts_at[size]))))
+            any(map(_PARTS.__set__, labels, reversed(parts_at[size])))
+            any(map(_SIZE.__set__, labels, repeat(size)))
+            for key, label in zip(reversed(keys_at[size]), labels):
+                group = get(key)
+                if group is None:
+                    groups[key] = [label]
+                else:
+                    group.append(label)
     finally:
         if collecting:
             gc.enable()

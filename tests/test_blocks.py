@@ -459,6 +459,16 @@ def test_brauer_algebra_blocks_hold_off_the_cyclic_collector():
         gc.callbacks.remove(note)
 
 
+def test_brauer_algebra_blocks_are_fresh_on_every_call():
+    # no result is kept between calls: mutating one leaves the next as built
+    first, second = brauer_algebra_blocks(12, 2), brauer_algebra_blocks(12, 2)
+    kept = [list(group) for group in second]
+    first[0].append(Partition((5,)))
+    first.append([EMPTY])
+    assert second == kept == brauer_algebra_blocks(12, 2)
+    assert all(a is not b for a, b in zip(first, second))
+
+
 def test_point_and_brauer_queries_never_transpose(monkeypatch):
     # one label per run shape: empty, row, column, hook, rectangle, staircase
     # and fat hooks, and 10**6-box labels at the CLI cap; the results must

@@ -1,7 +1,7 @@
 import random
 import re
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 
 import pytest
 
@@ -68,6 +68,12 @@ def test_built_labels_equal_checked_ones():
     for delta in (0, 3):
         built += [label for n in (11, 12) for block in brauer_algebra_blocks(n, delta) for label in block]
     assert sorted(built, key=canonical_key) == sorted(labels * 4, key=canonical_key)
+    # the ranks where the walk's low field uses every bit; == compares parts only
+    for n, delta in product((23, 24), (-1, 2)):
+        for block in brauer_algebra_blocks(n, delta):
+            for lam in block:
+                checked = Partition(lam.parts)
+                assert (lam.parts, lam.size, hash(lam)) == (checked.parts, checked.size, hash(checked))
     for lam in built:
         checked = Partition(lam.parts)
         assert (lam.parts, lam.size, hash(lam)) == (checked.parts, checked.size, hash(checked))
