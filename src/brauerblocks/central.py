@@ -20,16 +20,20 @@ The parameter sequence of the Brauer specialisation is
 gamma_a = delta * ((delta-1)/2)**a.  Its generating series
 u - 1/2 + sum_a gamma_a u^{-a} multiplied by its reflection u -> -u must
 equal (1/2 - u)(1/2 + u), and the odd-index coefficients must satisfy the
-admissibility recursion; both checks sum the given coefficients directly,
-in exact arithmetic.
+admissibility recursion.  Both checks read the given coefficients once, as
+ints over their least common denominator, and compare the identities
+scaled to ints, so one path serves ints, Fractions and any other rational
+input; :func:`brauer_gammas` writes gamma_a from two int running products.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import NamedTuple
 
-from .partitions import HALF, Partition, row_runs
+from .partitions import Partition, row_runs
 
 
 class FactoredRational(NamedTuple):
@@ -163,15 +167,27 @@ def centrally_equivalent(lam: Partition, mu: Partition, delta) -> bool:
 
 
 def brauer_gammas(delta, length: int) -> list[Fraction]:
-    """The parameter sequence gamma_a = delta * ((delta-1)/2)**a, a < length."""
+    """The parameter sequence gamma_a = delta * ((delta-1)/2)**a, a < length.
+
+    With delta = p/q in lowest terms, gamma_a = p(p-q)^a / (q(2q)^a): two
+    int running products and one Fraction per coefficient."""
     d = Fraction(delta)
-    base = (d - 1) / 2
+    num, den = d.numerator, d.denominator
+    num_step, den_step = num - den, 2 * den
     out: list[Fraction] = []
-    power = Fraction(1)
     for _ in range(length):
-        out.append(d * power)
-        power *= base
+        out.append(Fraction(num, den))
+        num *= num_step
+        den *= den_step
     return out
+
+
+def _over_common_denominator(gammas) -> tuple[list[int], int]:
+    """(N, D) with gamma_a = N[a] / D, D the least common denominator; an
+    int or a Fraction is read as it is, any other rational through Fraction."""
+    qs = [g if isinstance(g, (int, Fraction)) else Fraction(g) for g in gammas]
+    common = lcm(*(q.denominator for q in qs))
+    return [q.numerator * (common // q.denominator) for q in qs], common
 
 
 def check_reflection_product(gammas, order: int) -> bool:
@@ -180,39 +196,43 @@ def check_reflection_product(gammas, order: int) -> bool:
     the given truncation determines exactly.
 
     The unknown gamma_a with a >= len(gammas) reach every degree below
-    2 - len(gammas), so the degrees low..2 are compared.  f(u)f(-u) is even
-    in u, so only even degrees are summed, each as
-    sum c_{d1} c_{d2} (-1)^{d2} over the nonzero coefficients c_d of f."""
+    2 - len(gammas), so the degrees low..2 are compared.  With
+    gamma_a = N_a / D over the least common denominator, 2D f has the int
+    coefficients c_0 = 2D, c_1 = 2N_0 - D and c_e = 2N_(e-1) at u^(1-e), and
+    the identity is compared scaled by (2D)^2.  f(u)f(-u) is even in u, so
+    only the even degrees 2 - s are summed.  There e1 + e2 = s makes the
+    sign (-1)^(1-e2) of c_e1 c_e2 equal to -(-1)^e1, so the negated
+    coefficient is the sum of (-1)^e1 c_e1 c_e2, each pair e1 != e2 summed
+    once and doubled."""
     if len(gammas) < order + 1:
         raise ValueError("need at least order+1 parameter coefficients")
     low = max(2 - len(gammas), -order)
-    coeffs = [(1, Fraction(1)), (0, Fraction(gammas[0]) - HALF)]
-    coeffs += [(-a, Fraction(g)) for a, g in enumerate(gammas[1:], 1) if g]
-    product = dict.fromkeys(range(low + low % 2, 3, 2), Fraction(0))
-    for d1, c1 in coeffs:
-        for d2, c2 in coeffs:
-            m = d1 + d2
-            if m in product:
-                product[m] += -c1 * c2 if d2 % 2 else c1 * c2
-    target = {2: -1, 0: Fraction(1, 4)}
-    return all(c == target.get(m, 0) for m, c in product.items())
+    nums, common = _over_common_denominator(gammas)
+    c = [2 * common, 2 * nums[0] - common] + [2 * n for n in nums[1:]]
+    alt = [-x if e % 2 else x for e, x in enumerate(c)]  # (-1)^e c_e
+    target = {0: 4 * common * common, 2: -common * common}  # -(2D)^2 (1/4 - u^2) at degree 2 - s
+    for s in range(0, 3 - low, 2):
+        mid = s // 2
+        pairs = sum(map(mul, alt[:mid], c[s:mid:-1]))
+        if 2 * pairs + alt[mid] * c[mid] != target.get(s, 0):
+            return False
+    return True
 
 
 def check_admissible(gammas, order: int) -> bool:
     """Whether the recursion
     2*gamma_k = -gamma_{k-1} + sum_{j=1..k} (-1)^(j-1) gamma_{j-1} gamma_{k-j}
-    holds for every odd k <= order.  Products with a zero factor are
-    skipped, and the sign is read off the parity of j."""
+    holds for every odd k <= order.  With gamma_a = N_a / D over the least
+    common denominator, it is compared scaled by D^2, in ints.  For odd k
+    the terms a = j - 1 and k - 1 - a have one sign, so each pair is summed
+    once and doubled."""
     if len(gammas) < order + 1:
         raise ValueError("need at least order+1 parameter coefficients")
-    g = [Fraction(x) for x in gammas]
-    nonzero = [a for a in range(order) if g[a]]  # a = j - 1
+    g, common = _over_common_denominator(gammas)
+    alt = [-x if a % 2 else x for a, x in enumerate(g)]  # (-1)^a N_a
     for k in range(1, order + 1, 2):
-        rhs = -g[k - 1] + sum(
-            -g[a] * g[k - 1 - a] if a % 2 else g[a] * g[k - 1 - a]
-            for a in nonzero
-            if a < k and g[k - 1 - a]
-        )
-        if 2 * g[k] != rhs:
+        n, mid = k - 1, k // 2
+        rhs = -common * g[n] + 2 * sum(map(mul, alt[:mid], g[n:mid:-1])) + alt[mid] * g[mid]
+        if 2 * common * g[k] != rhs:
             return False
     return True

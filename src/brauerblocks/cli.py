@@ -77,12 +77,12 @@ RANK_CAP = 1000
 # cap needs about 0.75 GB; larger n are refused.
 BRAUER_N_CAP = 48
 
-# series-check and verify sum O(order^2) products of Fractions that grow with
-# the order and with the digits of delta (a series-check process takes about
-# 0.25 s at the cap; with a 1,000-digit delta, 33 s), so series-check also
-# refuses a delta whose numerator or denominator exceeds LABEL_CAP.  verify
-# repeats every check once per delta; at both caps its two series checks
-# alone take about 6 s.
+# series-check and verify sum O(order^2) int products over the coefficients'
+# least common denominator, which grows with the order and with the digits of
+# delta (a series-check process takes about 0.15 s at the cap; the two checks
+# on a 1,000-digit delta, 87 s), so series-check also refuses a delta whose
+# numerator or denominator exceeds LABEL_CAP.  verify repeats every check once
+# per delta; at both caps its two series checks take about 0.13 s.
 ORDER_CAP = 128
 DELTA_COUNT_CAP = 64
 

@@ -73,7 +73,13 @@ class Partition:
     __slots__ = ("parts", "size")
 
     def __init__(self, parts=()):
-        parts = tuple(map(_part, parts))
+        parts = tuple(parts)  # a one-shot iterable is read once
+        try:
+            parts = tuple(map(index, parts))
+        except TypeError:
+            for value in parts:
+                _part(value)  # raises, naming the first entry that is not an integer
+            raise
         if not all(map(ge, parts, parts[1:])):
             a, b = next((a, b) for a, b in zip(parts, parts[1:]) if b > a)
             raise PartitionError(f"not weakly decreasing: {a} before {b}")

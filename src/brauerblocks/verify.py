@@ -53,6 +53,7 @@ from .blocks import (
 from .central import (
     FactoredRational,
     _gamma_exponents,
+    _root_exponents,
     brauer_gammas,
     central_character,
     centrally_equivalent,
@@ -209,7 +210,7 @@ def _central_mismatch(max_size: int, deltas) -> str | None:
     parts = enumerate_partitions(max_size)
     for delta in deltas:
         sym = {lam: reduce_mod_qtheta(weight_alpha_part(lam, delta), delta) for lam in parts}
-        char = {lam: central_character(lam, delta) for lam in parts}
+        char = {lam: tuple(sorted(_root_exponents(lam.parts, delta, 1).items())) for lam in parts}
         for lam, mu in _class_firsts(parts, sym):
             if char[lam] != char[mu]:
                 return f"lam={list(lam.parts)} mu={list(mu.parts)} delta={delta}: bar-weight equal, characters differ"
@@ -222,7 +223,9 @@ def _central_mismatch(max_size: int, deltas) -> str | None:
 
 def check_central_vs_bar_weight(max_size: int, deltas) -> CheckResult:
     """Equal bar-weight implies equal central character; for even delta the
-    converse holds as well."""
+    converse holds as well.  Characters are compared as the int exponent
+    maps that central_character and centrally_equivalent share, so the
+    check builds no Fraction."""
     scope = f"sizes<={max_size}, delta in {list(deltas)}"
     return _check("bar-weight-vs-central-character", scope, _central_mismatch, max_size, deltas)
 

@@ -23,7 +23,7 @@ from brauerblocks.blocks import (
     same_block,
     same_block_report,
 )
-from brauerblocks.central import central_character
+from brauerblocks.central import _root_exponents
 from brauerblocks.partitions import Partition, canonical_key, enumerate_partitions, partitions_of_size
 from brauerblocks.sequences import (
     WILDCARD,
@@ -795,12 +795,13 @@ def _named_pair(pattern: str, counterexample: str):
 
 
 def test_central_check_fails_when_one_character_is_read_at_another_delta(monkeypatch):
+    # c05 reads each character as the int exponent map of central._root_exponents
     target = Partition((2, 1))
 
-    def shifted(lam, delta):
-        return central_character(lam, delta + 2 if lam == target else delta)
+    def shifted(parts, a, b):
+        return _root_exponents(parts, a + 2 * b if parts == target.parts else a, b)
 
-    monkeypatch.setattr(verify, "central_character", shifted)
+    monkeypatch.setattr(verify, "_root_exponents", shifted)
     result = verify.check_central_vs_bar_weight(4, range(-3, 6))
     assert not result.passed
     lam, mu, delta, (claim,) = _named_pair(
@@ -808,7 +809,7 @@ def test_central_check_fails_when_one_character_is_read_at_another_delta(monkeyp
     )
     # recomputed without the patch: the mutant reading splits one relation from the other
     bar_eq = same_bar_weight(lam, mu, delta)
-    char_eq = shifted(lam, delta) == shifted(mu, delta)
+    char_eq = shifted(lam.parts, delta, 1) == shifted(mu.parts, delta, 1)
     assert (bar_eq, char_eq) == ((True, False) if claim.startswith("bar") else (False, True))
     assert delta % 2 == 0 or bar_eq
 
@@ -816,7 +817,7 @@ def test_central_check_fails_when_one_character_is_read_at_another_delta(monkeyp
 def test_central_check_fails_when_every_character_is_the_same(monkeypatch):
     # equal bar-weights still imply equal characters; only the converse, at
     # even delta, can report this mutant
-    monkeypatch.setattr(verify, "central_character", lambda lam, delta: central_character(EMPTY, delta))
+    monkeypatch.setattr(verify, "_root_exponents", lambda parts, a, b: _root_exponents((), a, b))
     result = verify.check_central_vs_bar_weight(4, range(-3, 6))
     lam, mu, delta, _ = _named_pair("characters equal, bar-weights differ", result.counterexample)
     assert delta % 2 == 0 and not same_bar_weight(lam, mu, delta)

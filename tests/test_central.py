@@ -1,5 +1,6 @@
 import random
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,28 @@ def test_parameter_series_examples():
         assert brauer_gammas(delta, 2) == [delta, delta * Fraction(delta - 1, 2)]
 
 
+def _gammas_by_fraction_products(delta, length: int) -> list[Fraction]:
+    # the definition in Fractions: delta times a running power of (delta - 1)/2
+    d = Fraction(delta)
+    base = (d - 1) / 2
+    out: list[Fraction] = []
+    power = Fraction(1)
+    for _ in range(length):
+        out.append(d * power)
+        power *= base
+    return out
+
+
+def test_brauer_gammas_equal_the_fraction_products():
+    deltas = [Fraction(p, q) for p in range(-7, 8) for q in (1, 2, 3, 4, 9)]
+    deltas += [Fraction(999999, 1000000), Fraction(-10**6), Fraction(10**6, 7), 3, -2, 0]
+    for delta in deltas:
+        for length in (0, 1, 2, 5, 64, 129):
+            got = brauer_gammas(delta, length)
+            assert got == _gammas_by_fraction_products(delta, length), (delta, length)
+            assert all(type(g) is Fraction for g in got)
+
+
 def _laurent_reflection_product(gammas, order: int) -> bool:
     # the reference route: both series as truncated Laurent series, known
     # for degrees >= 1 - len(gammas), multiplied in full; the product is
@@ -208,6 +231,22 @@ def _series_cases():
                 cases.append([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in base])
                 for gammas in cases:
                     yield delta, order, gammas
+    # sequences that hold with denominators of no common chain: free
+    # even-index coefficients, odd ones completed by the recursion
+    for order in range(13):
+        gammas = _admissible_completion(order + 1, random.Random(order))
+        yield None, order, gammas
+        yield None, order, gammas[:-1] + [gammas[-1] + Fraction(1, 7)]
+
+
+def _admissible_completion(length: int, rng) -> list[Fraction]:
+    g: list[Fraction] = []
+    for k in range(length):
+        if k % 2 == 0:
+            g.append(Fraction(rng.randint(-9, 9), rng.choice((1, 3, 4, 5, 7, 9))))
+        else:
+            g.append((-g[k - 1] + sum((-1) ** (j - 1) * g[j - 1] * g[k - j] for j in range(1, k + 1))) / 2)
+    return g
 
 
 def test_reflection_product_equals_the_laurent_product():
@@ -238,6 +277,60 @@ def test_admissibility_equals_the_dense_sum():
         assert check_admissible(gammas, order) == expected, (delta, order, gammas)
         outcomes.add((order, expected))
     assert outcomes == {(0, True)} | {(order, ok) for order in range(1, 13) for ok in (True, False)}
+
+
+@pytest.mark.parametrize("delta", [Fraction(7, 3), Fraction(-5, 2), Fraction(999999, 1000000), 10**6])
+@pytest.mark.parametrize("order", [64, 128])
+def test_series_checks_equal_the_references_at_high_order(delta, order):
+    # the Brauer parameters hold; raising the last odd-index coefficient the
+    # recursion reaches breaks both identities, and only at its last steps
+    base = brauer_gammas(delta, order + 1)
+    broken = list(base)
+    broken[order - 1] += Fraction(1, 3)
+    for gammas, holds in ((base, True), (broken, False)):
+        assert _laurent_reflection_product(gammas, order) is holds
+        assert check_reflection_product(gammas, order) is holds
+        assert _dense_admissible(gammas, order) is holds
+        assert check_admissible(gammas, order) is holds
+
+
+@contextmanager
+def _counting_fractions():
+    # every Fraction construction, arithmetic results included
+    built = []
+    original = vars(Fraction)["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        yield built
+    finally:
+        Fraction.__new__ = original
+
+
+def test_central_check_builds_no_fraction():
+    with _counting_fractions() as built:
+        result = verify.check_central_vs_bar_weight(4, range(-3, 6))
+    assert result.passed and built == []
+
+
+def test_series_checks_build_at_most_one_fraction_per_coefficient():
+    with _counting_fractions() as built:
+        Fraction(1, 3)
+    assert len(built) == 1  # the counter sees constructions
+    for delta in (Fraction(7, 3), 5, Fraction(-5, 2)):
+        fractions = brauer_gammas(delta, 25)
+        # Fractions are read as they are, strings and floats through Fraction
+        inputs = [(fractions, 0), ([str(g) for g in fractions], 25)]
+        inputs.append(([float(g) for g in fractions[:4]] + [0] * 21, 4))
+        for gammas, most in inputs:
+            for check in (check_reflection_product, check_admissible):
+                with _counting_fractions() as built:
+                    check(gammas, 24)
+                assert len(built) <= most, (check.__name__, delta, gammas[:2])
 
 
 def test_reflection_product_identity():

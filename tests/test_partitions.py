@@ -172,6 +172,16 @@ def test_constructor_rejects_nonintegral_parts(bad):
         Partition((3, bad))
 
 
+def test_constructor_reads_a_one_shot_iterable():
+    assert Partition(iter([3, 1, 1])) == Partition((3, 1, 1))
+    assert Partition(p for p in (2, True)).parts == (2, 1)
+    # the entry is named even though the iterable is spent by then
+    with pytest.raises(PartitionError, match=r"^partition entry 2\.5 is not an integer$"):
+        Partition(p for p in (3, 2.5, 1))
+    with pytest.raises(PartitionError, match="^not weakly decreasing: 1 before 2$"):
+        Partition(iter((3, 1, 2)))
+
+
 def test_integer_reader():
     for value in (2, Fraction(4, 2), 2.0, "2"):
         assert integer_or_none(value) == 2 and type(integer_or_none(value)) is int
