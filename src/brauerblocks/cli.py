@@ -263,7 +263,6 @@ def _verify(args) -> dict:
         delta_lo=args.delta_min,
         delta_hi=args.delta_max,
         order=args.order,
-        inject_fault=args.inject_fault,
     )
     return {
         **verify_mod.report_json(results),
@@ -341,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-min", type=int, default=-3)
     p.add_argument("--delta-max", type=int, default=5)
     p.add_argument("--order", type=int, default=24)
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     return parser
 

@@ -3,37 +3,36 @@
 Each check compares two computations that share no code path: the sequence
 orbit criterion against reflection descent to the dominant vector of the
 dot action, the reduced weight classes against canonical central
-characters, the wedge operators against a row-level box-move rule, and the
-weight of each factored gamma_a against alpha_a - alpha_{-a} in
-fundamental-weight coordinates.  The two series checks instead require the
-parameter identities to hold for the Brauer family and to fail once gamma_1
-is raised by one.  The breadth-first dot-orbit oracle is not run here: it
-certifies the descent in the tests.  A check returns a :class:`CheckResult`
-carrying the first counterexample found, so failures are reproducible
-inputs rather than booleans; the body of each check is a helper that
-returns that counterexample, or None.
+characters, the block keys against the reduced weight classes refined by
+the parity/zero rule, the wedge operators against a row-level box-move
+rule, and the weight of each factored gamma_a against alpha_a - alpha_{-a}
+in fundamental-weight coordinates.  The two series checks instead require
+the parameter identities to hold for the Brauer family and to fail once
+gamma_1 is raised by one.  The breadth-first dot-orbit oracle is not run
+here: it certifies the descent in the tests.  A check returns a
+:class:`CheckResult` carrying the first counterexample found, so failures
+are reproducible inputs rather than booleans; the body of each check is a
+helper that returns that counterexample, or None.
 
 The orbit, central-character and key-consistency checks compare classes of
 labels in O(L) per delta, not all L^2 pairs: two equivalences R, S agree
 exactly when each label is S-related to the first of its R-class and
 R-related to the first of its S-class (x R y makes both S-related to one).
 
-Label invariants are read once per label and delta, in twice-units,
-through :func:`~brauerblocks.sequences.transpose_profile`: the orbit key of
-a label's sequence off the rows of its transpose, and the negative-entry
-count and zero flag of its transposed sequence off its own rows.  Weights,
-wedge moves, operator indices and the weight of gamma_a are compared in
-twice-units (the simple root alpha_i and the coordinate at omega_i keyed
-by 2i); counterexamples print an operator index i, a content a and the
-roots of gamma_a as numbers.
+Label invariants are read once per label and delta, in twice-units: the
+orbit key of a label's sequence by
+:func:`~brauerblocks.sequences.transpose_profile`, off the rows of its
+transpose, and the negative-entry count and zero flag of its transposed
+sequence entry by entry (:func:`_sequence_signs`), not through the kernel
+behind the block keys they are checked against.  Weights, wedge moves,
+operator indices and the weight of gamma_a are compared in twice-units (the
+simple root alpha_i and the coordinate at omega_i keyed by 2i);
+counterexamples print an operator index i, a content a and the roots of
+gamma_a as numbers.
 
 `run_verify` executes the whole matrix at a requested size, at most
 :data:`SIZE_CAP`, and is the engine behind the ``verify`` CLI subcommand.
-Every check runs at that size except block-growth, which stops at 4.  The
-fault-injection mode tampers with one parity tag on one side of the
-key-consistency comparison; a healthy build must report the planted
-counterexample, and a fault that could be planted at no delta is itself
-reported.
+Every check runs at that size except block-growth, which stops at 4.
 """
 
 from __future__ import annotations
@@ -120,6 +119,19 @@ def check_witness_pair() -> CheckResult:
     return _check("witness-pair", "delta=1, (2,2) vs (2,1)", _witness_failure)
 
 
+def _sequence_signs(c2: int, shape: Partition) -> tuple[int, bool]:
+    """(negative-entry count, zero flag) of the sequence of shape at
+    twice-charge c2, read entry by entry: twice its k-th entry is
+    c2 + 2(k - shape_k), and past k = max(len(shape), -c2 // 2) every entry
+    c2 + 2k is positive."""
+    negatives, zero = 0, False
+    for k, p in enumerate(shape.parts + (0,) * (-c2 // 2 - len(shape)), 1):
+        entry = c2 + 2 * (k - p)
+        negatives += entry < 0
+        zero = zero or entry == 0
+    return negatives, zero
+
+
 def _class_firsts(labels, invariant: dict):
     """Yield (the first label of label's class by invariant, label) in order."""
     first: dict = {}
@@ -180,7 +192,7 @@ def _split_mismatch(max_size: int, deltas) -> str | None:
             classes.setdefault(sym, []).append(lam)
         for members in classes.values():
             anchor = members[0]
-            single_expected = delta % 2 != 0 or transpose_profile(delta - 2, anchor.parts)[2]
+            single_expected = delta % 2 != 0 or _sequence_signs(delta - 2, anchor.transpose())[1]
             for lam in members:
                 cls = classify_weight_class(lam, delta)
                 if cls.split == single_expected:
@@ -387,63 +399,45 @@ def check_rational_weight() -> CheckResult:
     return _check("rational-function-weight", scope, _rational_weight_mismatch)
 
 
-def _key_mismatch(max_size: int, deltas, flip_parity_of: Partition | None) -> str | None:
-    """Each left key meets its own key first, where a planted fault shows,
-    then the first of its bar-weight, refined and key classes.  A zero flag
-    that varies inside a bar-weight class shows against its first label, as
-    transpose_profile gives the flag and the key's wildcard together (keys
-    differ, the rule holds); once it is constant, the rule is refined-class
+def _key_mismatch(max_size: int, deltas) -> str | None:
+    """Each label meets the first of its bar-weight, refined and key
+    classes.  A zero flag that varies inside a bar-weight class shows
+    against its first label; once it is constant, the rule is refined-class
     equality and the scans compare two equivalences both ways."""
     parts = enumerate_partitions(max_size)
-    planted = False
+    columns = {lam: lam.transpose() for lam in parts}
     for delta in deltas:
         keys = {lam: block_key(lam, delta) for lam in parts}
-        lhs_keys = dict(keys)
-        original = keys.get(flip_parity_of)
-        if original is not None and original.neg_parity != WILDCARD:
-            lhs_keys[flip_parity_of] = original._replace(neg_parity=1 - original.neg_parity)
-            planted = True
         sym = {lam: reduce_mod_qtheta(weight_alpha_part(lam, delta), delta) for lam in parts}
         refined = {}
         for lam in parts:
-            _, negatives, zero = transpose_profile(delta - 2, lam.parts)
+            negatives, zero = _sequence_signs(delta - 2, columns[lam])
             refined[lam] = sym[lam], None if delta % 2 else WILDCARD if zero else negatives % 2
-        scans = (_class_firsts(parts, classes) for classes in (sym, refined, keys))
-        for lam, mu in chain(((lam, lam) for lam in parts), *scans):
+        for lam, mu in chain(*(_class_firsts(parts, classes) for classes in (sym, refined, keys))):
             (lam_sym, lam_tag), (mu_sym, mu_tag) = refined[lam], refined[mu]
-            key_eq = lhs_keys[lam] == keys[mu]
+            key_eq = keys[lam] == keys[mu]
             expected = lam_sym == mu_sym and (lam_tag == mu_tag or WILDCARD in (lam_tag, mu_tag))
             if key_eq != expected:
                 return (
                     f"lam={list(lam.parts)} mu={list(mu.parts)} delta={delta}: "
                     f"key equality {key_eq}, rule {expected}"
                 )
-    if flip_parity_of is None or planted:
-        return None
-    if flip_parity_of.size > max_size:
-        return f"fault on lam={list(flip_parity_of.parts)} planted at no delta: its size exceeds {max_size}"
-    return f"fault on lam={list(flip_parity_of.parts)} planted at no delta: its key parity is {WILDCARD} at every delta"
+    return None
 
 
-def check_key_consistency(max_size: int, deltas, flip_parity_of: Partition | None = None) -> CheckResult:
-    """Key equality == bar-weight equality refined by the parity/zero rule.
-
-    flip_parity_of plants a fault: the left key of that label gets its
-    parity tag flipped, which a healthy comparison must report.  A label
-    above max_size, or whose parity is the wildcard at every delta, cannot
-    carry the fault; that is reported as the counterexample, so a requested
-    fault never passes.
-    """
+def check_key_consistency(max_size: int, deltas) -> CheckResult:
+    """Key equality == bar-weight equality refined by the parity/zero rule,
+    whose negative count and zero flag are read entry by entry, not through
+    transpose_profile, which block_key reads."""
     scope = f"sizes<={max_size}, delta in {list(deltas)}"
-    return _check("key-consistency", scope, _key_mismatch, max_size, deltas, flip_parity_of)
+    return _check("key-consistency", scope, _key_mismatch, max_size, deltas)
 
 
-def run_verify(max_size: int, delta_lo: int, delta_hi: int, order: int, inject_fault: bool) -> list[CheckResult]:
+def run_verify(max_size: int, delta_lo: int, delta_hi: int, order: int) -> list[CheckResult]:
     """The full matrix at the requested scale: every check but block-growth
     runs at max_size, and the delta range and the truncation order apply as
     given."""
     deltas = list(range(delta_lo, delta_hi + 1))
-    fault = Partition((1,)) if inject_fault else None
     return [
         check_witness_pair(),
         check_orbit_vs_bfs(max_size, deltas),
@@ -457,7 +451,7 @@ def run_verify(max_size: int, delta_lo: int, delta_hi: int, order: int, inject_f
         # (lam=[2, 2, 1] at delta=4, size 5), a false failure
         check_block_growth(min(max_size, 4), deltas),
         check_rational_weight(),
-        check_key_consistency(max_size, deltas, flip_parity_of=fault),
+        check_key_consistency(max_size, deltas),
     ]
 
 

@@ -880,18 +880,22 @@ def test_key_check_fails_exactly_when_a_wrong_zero_flag_changes_the_rule(monkeyp
         negatives = [transpose_profile(delta - 2, p.parts)[1] % 2 for p in (lam, mu)]
         return delta % 2 != 0 or negatives[0] == negatives[1] or zero(lam, delta) or zero(mu, delta)
 
+    real_signs = verify._sequence_signs
     for target in labels:
-        def flipped(c2, parts):
-            key, negatives, zero = transpose_profile(c2, parts)
-            return key, negatives, zero != (parts == target.parts)
+        column = target.transpose()
+
+        def flipped(c2, shape):
+            # c11 reads the signs of each label's transposed sequence
+            negatives, zero = real_signs(c2, shape)
+            return negatives, zero != (shape == column)
 
         def true_zero(lam, delta):
             return transpose_profile(delta - 2, lam.parts)[2]
 
         def mutant_zero(lam, delta):
-            return flipped(delta - 2, lam.parts)[2]
+            return flipped(delta - 2, lam.transpose())[1]
 
-        monkeypatch.setattr(verify, "transpose_profile", flipped)
+        monkeypatch.setattr(verify, "_sequence_signs", flipped)
         result = verify.check_key_consistency(4, deltas)
         changed = any(
             rule(target, mu, d, true_zero) != rule(target, mu, d, mutant_zero) for d in deltas for mu in labels
@@ -903,20 +907,65 @@ def test_key_check_fails_exactly_when_a_wrong_zero_flag_changes_the_rule(monkeyp
             assert rule(lam, mu, delta, mutant_zero)
 
 
-def test_key_check_reports_a_flipped_parity_on_every_small_label():
-    for target in enumerate_partitions(4):
-        result = verify.check_key_consistency(4, range(-3, 6), flip_parity_of=target)
-        assert not result.passed, target
-        if "planted at no delta" in result.counterexample:
-            assert all(block_key(target, d).neg_parity == WILDCARD for d in range(-3, 6))
-            continue
-        lam, mu, delta, _ = _named_pair("key equality False, rule True", result.counterexample)
-        assert lam == mu == target
-        assert block_key(target, delta).neg_parity != WILDCARD
-    # at delta = 2, (2, 2, 2) shares the key of () and so is the first of no
-    # class: only the comparison of each left key with its own reports it
-    result = verify.check_key_consistency(6, [2], flip_parity_of=Partition((2, 2, 2)))
-    assert result.counterexample == "lam=[2, 2, 2] mu=[2, 2, 2] delta=2: key equality False, rule True"
+def test_key_check_reports_a_parity_bug_in_the_key_kernel(monkeypatch):
+    # one negative entry too many for two-row labels at even delta, in the
+    # kernel behind block_key: c11 reads its rule entry by entry, so the
+    # keys' parity no longer follows the rule
+    def one_more_negative(c2, parts):
+        (deviations, parity), negatives, zero = transpose_profile(c2, parts)
+        if len(parts) == 2 and c2 % 2 == 0:
+            negatives += 1
+            parity = parity if zero else 1 - parity
+        return (deviations, parity), negatives, zero
+
+    monkeypatch.setattr(blocks, "transpose_profile", one_more_negative)
+    monkeypatch.setattr(verify, "transpose_profile", one_more_negative)
+    result = verify.check_key_consistency(5, range(-3, 6))
+    assert not result.passed
+    lam, mu, delta, (key_eq, rule) = _named_pair("key equality (True|False), rule (True|False)", result.counterexample)
+    assert delta % 2 == 0 and 2 in (len(lam), len(mu))
+    # the reported rule is the unpatched key equality
+    monkeypatch.undo()
+    assert rule == str(block_key(lam, delta) == block_key(mu, delta)) != key_eq
+
+
+def parity_flipped(target: Partition):
+    """A block_key mutant: target's key gets its parity tag flipped, where
+    it is not the wildcard."""
+
+    def mutant(lam, delta):
+        key = block_key(lam, delta)
+        if lam != target or key.neg_parity == WILDCARD:
+            return key
+        return key._replace(neg_parity=1 - key.neg_parity)
+
+    return mutant
+
+
+def test_key_check_reports_a_flipped_parity_on_every_small_label(monkeypatch):
+    # the flip shows exactly when it changes which labels share a key: the
+    # label leaves its block, or joins the block of the other parity, as (3)
+    # joins (2) at delta = -3, though no other label shares its own block
+    labels = enumerate_partitions(4)
+    for deltas in (range(-3, 6), [0, 1], [2]):
+        for target in labels:
+            mutant = parity_flipped(target)
+            monkeypatch.setattr(verify, "block_key", mutant)
+            result = verify.check_key_consistency(4, deltas)
+            visible = any(
+                block_key(mu, d) in (block_key(target, d), mutant(target, d))
+                for d in deltas
+                if block_key(target, d).neg_parity != WILDCARD
+                for mu in labels
+                if mu != target
+            )
+            assert result.passed == (not visible), (deltas, target)
+            if visible:
+                lam, mu, delta, (key_eq, rule) = _named_pair(
+                    "key equality (True|False), rule (True|False)", result.counterexample
+                )
+                assert target in (lam, mu) and lam != mu
+                assert rule == str(block_key(lam, delta) == block_key(mu, delta)) != key_eq
 
 
 def test_same_block_report_fields():

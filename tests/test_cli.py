@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import sys
@@ -9,7 +10,8 @@ import pytest
 from brauerblocks import cli, verify
 from brauerblocks.blocks import dot_orbit_member
 from brauerblocks.cli import build_parser, main
-from brauerblocks.partitions import parse_partition
+from brauerblocks.partitions import Partition, parse_partition
+from test_blocks import parity_flipped
 
 
 def run(capsys, *argv):
@@ -318,34 +320,18 @@ def test_block_growth_passes_on_a_correct_library(capsys, argv):
     assert code == 0, [c["counterexample"] for c in payload["checks"] if not c["passed"]]
 
 
-def test_verify_fault_injection(capsys):
-    code, payload = run_json(
-        capsys,
-        "verify", "--max-size", "3",
-        "--delta-min", "1", "--delta-max", "2", "--order", "2",
-        "--inject-fault",
-    )
+def test_verify_fault_injection(capsys, monkeypatch):
+    # the key of (2, 2) gets its parity flipped: at delta = 0 it joins the
+    # block of (1, 1), and at delta = 1 the class of () carries two keys
+    monkeypatch.setattr(verify, "block_key", parity_flipped(Partition((2, 2))))
+    code, payload = run_json(capsys, "verify", "--max-size", "4", "--delta-min", "0", "--delta-max", "1")
     assert code == 1
     assert payload["passed"] is False
-    failing = [c for c in payload["checks"] if not c["passed"]]
-    assert failing and failing[0]["name"] == "key-consistency"
-    assert failing[0]["counterexample"]
-
-
-def test_verify_fault_that_cannot_be_planted_fails(capsys):
-    # (1) is above size 0, and at delta = 2 its key parity is the wildcard:
-    # the fault lands nowhere, and that is the counterexample
-    for argv, why in (
-        (("--max-size", "0", "--delta-min", "1", "--delta-max", "2"), "its size exceeds 0"),
-        (("--max-size", "3", "--delta-min", "-6", "--delta-max", "-6"), "its key parity is * at every delta"),
-        (("--max-size", "3", "--delta-min", "2", "--delta-max", "2"), "its key parity is * at every delta"),
-    ):
-        code, payload = run_json(capsys, "verify", *argv, "--order", "2", "--inject-fault")
-        assert code == 1
-        assert payload["passed"] is False
-        failing = [c for c in payload["checks"] if not c["passed"]]
-        assert [c["name"] for c in failing] == ["key-consistency"]
-        assert failing[0]["counterexample"] == f"fault on lam=[1] planted at no delta: {why}"
+    failing = {c["name"]: c["counterexample"] for c in payload["checks"] if not c["passed"]}
+    assert failing == {
+        "weight-class-split-counts": "delta=1, class of []: 2 keys, expected 1",
+        "key-consistency": "lam=[1, 1] mu=[2, 2] delta=0: key equality True, rule False",
+    }
 
 
 def _usage_error(capsys, *argv) -> str:
@@ -389,6 +375,8 @@ def test_empty_delta_range_and_bad_jobs_exit_2(capsys):
         assert f"unrecognized arguments: --jobs {jobs}" in message
     message = _usage_error(capsys, "verify", "--max-size", "0", "--force")
     assert "unrecognized arguments: --force" in message
+    message = _usage_error(capsys, "verify", "--inject-fault")
+    assert message.endswith("error: unrecognized arguments: --inject-fault")
 
 
 def test_verify_size_cap_exits_2(capsys):
@@ -442,6 +430,16 @@ def test_the_parser_is_the_one_list_of_subcommands(capsys):
         main(["no-such-command"])
     assert exit_info.value.code == 2
     capsys.readouterr()
+
+
+def test_no_option_is_hidden_from_help():
+    # every option of every subcommand shows in its --help
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        shown = sub.format_help()
+        for action in sub._actions:
+            assert action.help != argparse.SUPPRESS, (name, action.option_strings)
+            assert all(flag in shown for flag in action.option_strings), (name, action.option_strings)
 
 
 def test_dot_orbit_negative_rank_exits_2(capsys):

@@ -6,8 +6,8 @@ partitions of at most 6 parts, sometimes not descending; operator indices
 up to +-99999999999/2, junk or the same outsized forms; small ranks,
 orders, size bounds and delta ranges, the ranks, orders and delta-range
 widths on both sides of the CLI's caps, and a series-check delta and a
-verify delta range beyond theirs), plus stray
-``--jobs`` and ``--force`` flags.  Delta and the index are written
+verify delta range beyond theirs), plus stray ``--jobs``, ``--force`` and
+``--inject-fault`` flags.  Delta and the index are written
 ``--name=value``, so that negative fractions reach the library.  Each argv
 runs in-process with its streams redirected: the exit code must be 0, 1 or 2,
 stderr must hold no traceback, and on exit 0 or 1 stdout must be one JSON
@@ -83,23 +83,22 @@ SERIES_DELTA = st.one_of(DELTA, st.just(f"1/{LABEL_CAP + 1}"))
 VERIFY_DELTA_MIN = st.one_of(st.integers(-6, 7), st.just(-VERIFY_DELTA_CAP - 1))
 
 
-def _verify(size, lo, span, order, fault):
+def _verify(size, lo, span, order):
     return [
         "verify", "--max-size", str(size), "--delta-min", str(lo), "--delta-max", str(lo + span),
-        "--order", str(order), *(["--inject-fault"] if fault else []),
+        "--order", str(order),
     ]
 
 
 # a wide delta range runs only at small orders: at the caps of both, verify takes seconds
 VERIFY = st.one_of(
-    st.builds(_verify, st.integers(0, 2), VERIFY_DELTA_MIN, st.integers(-1, 1), ORDER, st.booleans()),
+    st.builds(_verify, st.integers(0, 2), VERIFY_DELTA_MIN, st.integers(-1, 1), ORDER),
     st.builds(
         _verify,
         st.integers(0, 2),
         st.integers(-6, 7),
         st.sampled_from([DELTA_COUNT_CAP - 1, DELTA_COUNT_CAP]),
         st.integers(0, 8),
-        st.booleans(),
     ),
 )
 
@@ -119,8 +118,10 @@ ARGV = st.one_of(
     VERIFY,
 )
 
-# stray flags: the removed --jobs and --force, and a text format
-STRAY = st.sampled_from([[], [], ["--jobs", "2"], ["--jobs", "0"], ["--force"], ["--format", "text"]])
+# stray flags: the removed --jobs, --force and --inject-fault, and a text format
+STRAY = st.sampled_from(
+    [[], [], ["--jobs", "2"], ["--jobs", "0"], ["--force"], ["--inject-fault"], ["--format", "text"]]
+)
 
 
 def _run(argv) -> tuple[int, str, str]:
